@@ -49,7 +49,10 @@ def _merged_config(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
     merged: dict = {}
     if getattr(args, "config", None) is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"--config {args.config}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise DomainError("--config file must hold a JSON object")
         merged.update(loaded)
@@ -57,6 +60,13 @@ def _merged_config(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+            continue
+        value = merged.get(key)
+        if value is not None and type(value) is not int and not (
+            key == "p" and type(value) is float
+        ):
+            kind = "a number" if key == "p" else "an integer"
+            raise DomainError(f"--config key {key!r} must be {kind}, got {value!r}")
     missing = [key for key in required if merged.get(key) is None]
     if missing:
         raise DomainError(f"missing required flag(s): {', '.join('--' + m for m in missing)}")
@@ -289,13 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (trace.ParseError, trace.DuplicateIdError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DomainError, trace.ParseError, trace.DuplicateIdError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

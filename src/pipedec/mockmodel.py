@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import DomainError, MatchSequence
 from .rng import mix64, mix64_np, stream_key
-from .trace import TraceRecord
+from .tracetable import TraceTable
 
 EOS_TOKEN = 0
 
@@ -259,7 +259,7 @@ def decode_ppd(
 
 def emit_trace(
     result: DecodeResult, example_id: str = "decode", layer: int | None = None
-) -> list[TraceRecord]:
+) -> TraceTable:
     """Turn a pipelined DecodeResult into per-position prediction records.
 
     One record per generated position that has a recorded match outcome
@@ -268,18 +268,19 @@ def emit_trace(
     """
     if len(result.early_candidates) != len(result.tokens):
         raise DomainError("result has no early candidate lists; decode_ppd produces them")
-    records = []
-    for g in range(1, len(result.tokens)):
-        records.append(
-            TraceRecord(
-                example_id=example_id,
-                position=g,
-                early_topk=result.early_candidates[g - 1],
-                final=result.tokens[g - 1],
-                layer=layer,
-            )
-        )
-    return records
+    n = len(result.tokens) - 1
+    k = len(result.early_candidates[0])  # decode_ppd reads k candidates at every position
+    topk = np.array(result.early_candidates[:n], dtype=np.int64).reshape(n, k)
+    return TraceTable(
+        example_ids=(example_id,),
+        example_code=np.zeros(n, np.int64),
+        position=np.arange(1, n + 1),
+        topk=topk,
+        topk_len=np.full(n, k),
+        final=np.array(result.tokens[:n], dtype=np.int64),
+        layer=np.full(n, 0 if layer is None else layer),
+        layer_absent=np.full(n, layer is None),
+    )
 
 
 @dataclass(frozen=True)

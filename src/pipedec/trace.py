@@ -1,15 +1,12 @@
 """Match-rate estimation from per-token prediction logs.
 
-A trace is line-delimited JSON, one record per logged token position:
-
-    {"example_id": str, "position": int, "early_topk": [int, ...],
-     "final": int, "layer": int?}
-
 ``match_rate`` estimates p_hat, the fraction of positions whose final
 token appears among the first k early candidates, with a Wilson score
 interval at the 95% level (z = 1.96; chosen over the normal
 approximation because it stays well-behaved near 0 and 1).  Records
-from different examples are pooled.
+from different examples are pooled.  Every function takes a
+``TraceTable`` or any iterable of ``TraceRecord``s (see ``tracetable``,
+whose names are importable from here too).
 """
 
 from __future__ import annotations
@@ -17,8 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -31,40 +27,17 @@ from .analytic import (
 )
 from .core import DecodingConfig, DomainError, LatencyComputeReport, validate_config
 from .rng import Stream
+from .tracetable import (  # noqa: F401  (re-exported: the trace API is one import)
+    DuplicateIdError,
+    ParseError,
+    TraceRecord,
+    TraceTable,
+    as_table,
+    load_traces,
+    save_traces,
+)
 
 WILSON_Z95 = 1.959963984540054
-
-
-class ParseError(ValueError):
-    """A trace line could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
-
-
-class DuplicateIdError(ValueError):
-    """early_topk contained the same token id twice."""
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    example_id: str
-    position: int               # 1-based token index within the example
-    early_topk: tuple[int, ...]  # ranked early candidates, no duplicates
-    final: int
-    layer: int | None = None    # optional early-prediction layer tag
-
-    def __post_init__(self) -> None:
-        early = self.early_topk
-        if type(early) is not tuple or any(type(t) is not int for t in early):
-            early = tuple(int(t) for t in early)
-            object.__setattr__(self, "early_topk", early)
-        if self.position < 1:
-            raise DomainError(f"position must be >= 1, got {self.position}")
-        if len(set(early)) != len(early):
-            raise DuplicateIdError(f"duplicate ids in early_topk: {early}")
 
 
 @dataclass(frozen=True)
@@ -97,83 +70,23 @@ def wilson_interval(matches: int, total: int, z: float = WILSON_Z95) -> tuple[fl
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _record_from_obj(obj: dict, line_no: int) -> TraceRecord:
-    try:
-        example_id = obj["example_id"]
-        position = obj["position"]
-        early = obj["early_topk"]
-        final = obj["final"]
-    except KeyError as exc:
-        raise ParseError(line_no, f"missing field {exc.args[0]!r}") from None
-    if not isinstance(early, list):
-        raise ParseError(line_no, "early_topk must be a list of token ids")
-    try:
-        return TraceRecord(
-            example_id=str(example_id),
-            position=int(position),
-            early_topk=tuple(int(t) for t in early),
-            final=int(final),
-            layer=int(obj["layer"]) if obj.get("layer") is not None else None,
-        )
-    except DuplicateIdError:
-        raise
-    except (TypeError, ValueError, DomainError) as exc:
-        raise ParseError(line_no, str(exc)) from None
-
-
-def load_traces(source: str | Path | IO[str]) -> list[TraceRecord]:
-    """Parse a JSONL trace in file order; blank lines are ignored."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_traces(fh)
-    records = []
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise ParseError(line_no, "each line must be a JSON object")
-        records.append(_record_from_obj(obj, line_no))
-    return records
-
-
-def save_traces(records: Iterable[TraceRecord], sink: str | Path | IO[str]) -> None:
-    """Write records as JSONL; load_traces(save_traces(r)) is the identity."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            save_traces(records, fh)
-            return
-    for r in records:
-        obj = {
-            "example_id": r.example_id,
-            "position": r.position,
-            "early_topk": list(r.early_topk),
-            "final": r.final,
-        }
-        if r.layer is not None:
-            obj["layer"] = r.layer
-        sink.write(json.dumps(obj) + "\n")
-
-
-def _check_k(records: Sequence[TraceRecord], k: int) -> None:
-    if not records:
+def _hits(table: TraceTable, k: int) -> np.ndarray:
+    """Per-row bool: final is among the first k early candidates."""
+    if not len(table):
         raise DomainError("cannot estimate a match rate from zero records")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    shortest = min(len(r.early_topk) for r in records)
+    shortest = int(table.topk_len.min())
     if k > shortest:
         raise DomainError(f"k={k} exceeds the shortest early_topk length {shortest}")
+    return (table.topk[:, :k] == table.final[:, None]).any(axis=1)
 
 
-def match_rate(records: Sequence[TraceRecord], k: int) -> MatchRateReport:
+def match_rate(records: TraceTable | Iterable[TraceRecord], k: int) -> MatchRateReport:
     """Fraction of positions whose final token is among the first k candidates."""
-    _check_k(records, k)
-    matches = sum(1 for r in records if r.final in r.early_topk[:k])
-    total = len(records)
+    table = as_table(records)
+    matches = int(_hits(table, k).sum())
+    total = len(table)
     return MatchRateReport(
         k=k,
         total_positions=total,
@@ -184,27 +97,29 @@ def match_rate(records: Sequence[TraceRecord], k: int) -> MatchRateReport:
 
 
 def match_rate_by_bucket(
-    records: Sequence[TraceRecord], k: int, bucket_width: int
+    records: TraceTable | Iterable[TraceRecord], k: int, bucket_width: int
 ) -> MatchRateReport:
-    """Overall report plus per-position-bucket rates ([1..w], [w+1..2w], ...)."""
+    """Overall report plus per-position-bucket rates ([1..w], [w+1..2w], ...).
+
+    Only buckets that hold a position get a row, in ascending order.
+    """
     if bucket_width < 1:
         raise DomainError(f"bucket_width must be >= 1, got {bucket_width}")
-    overall = match_rate(records, k)
-    counts: dict[int, int] = {}
-    hits: dict[int, int] = {}
-    for r in records:
-        b = (r.position - 1) // bucket_width
-        counts[b] = counts.get(b, 0) + 1
-        hits[b] = hits.get(b, 0) + (1 if r.final in r.early_topk[:k] else 0)
+    table = as_table(records)
+    overall = match_rate(table, k)
+    # bincount over the occupied buckets only: positions may be sparse and large
+    buckets, slot = np.unique((table.position - 1) // bucket_width, return_inverse=True)
+    counts = np.bincount(slot).tolist()
+    hits = np.bincount(slot[_hits(table, k)], minlength=len(buckets)).tolist()
     rows = tuple(
         BucketRow(
             lo=b * bucket_width + 1,
             hi=(b + 1) * bucket_width,
-            count=counts[b],
-            matches=hits[b],
-            p_hat=hits[b] / counts[b],
+            count=count,
+            matches=hit,
+            p_hat=hit / count,
         )
-        for b in sorted(counts)
+        for b, count, hit in zip(buckets.tolist(), counts, hits)
     )
     return replace(overall, buckets=rows)
 
@@ -230,7 +145,7 @@ class TraceForecast:
 
 
 def forecast_from_trace(
-    records: Sequence[TraceRecord], k: int, d: int, d_bar: int, ell: int
+    records: TraceTable | Iterable[TraceRecord], k: int, d: int, d_bar: int, ell: int
 ) -> TraceForecast:
     """Plug the estimated match rate into the closed-form trade-off formulas."""
     rate = match_rate(records, k)
@@ -289,7 +204,7 @@ def planted_trace(
     positions_per_example: int = 16,
     vocab: int = 1000,
     layer: int | None = None,
-) -> list[TraceRecord]:
+) -> TraceTable:
     """Synthesize a trace whose per-position match outcomes are Bernoulli(p).
 
     Match bits come from stream 0 of ``seed`` and record content from
@@ -300,29 +215,22 @@ def planted_trace(
         raise DomainError(f"p_correct must lie in [0, 1], got {p_correct}")
     if k < 1 or k + 1 > vocab:
         raise DomainError(f"need 1 <= k < vocab, got k={k}, vocab={vocab}")
-    bits = (Stream.from_seed(seed, 0).uniforms(n_positions) < p_correct).tolist()
+    if positions_per_example < 1:
+        raise DomainError(f"positions_per_example must be >= 1, got {positions_per_example}")
+    bits = Stream.from_seed(seed, 0).uniforms(n_positions) < p_correct
     content = Stream.from_seed(seed, 1).uniforms(3 * n_positions)
-    bases = (content[0::3] * (vocab - k - 1)).astype(np.int64).tolist()
-    slots = (content[1::3] * k).astype(np.int64).tolist()
-    offsets = (content[2::3] * (vocab - k)).astype(np.int64).tolist()
-    example_ids = [
-        f"ex{e:06d}" for e in range((n_positions + positions_per_example - 1) // positions_per_example)
-    ]
-    records = []
-    for i in range(n_positions):
-        base = bases[i]
-        topk = tuple(range(base, base + k))  # base < vocab-k-1, so no wraparound
-        if bits[i]:
-            final = base + slots[i]
-        else:
-            final = (base + k + offsets[i]) % vocab
-        records.append(
-            TraceRecord(
-                example_id=example_ids[i // positions_per_example],
-                position=(i % positions_per_example) + 1,
-                early_topk=topk,
-                final=final,
-                layer=layer,
-            )
-        )
-    return records
+    bases = (content[0::3] * (vocab - k - 1)).astype(np.int64)
+    slots = (content[1::3] * k).astype(np.int64)
+    offsets = (content[2::3] * (vocab - k)).astype(np.int64)
+    rows = np.arange(n_positions)
+    n_examples = -(-n_positions // positions_per_example)
+    return TraceTable(
+        example_ids=tuple(f"ex{e:06d}" for e in range(n_examples)),
+        example_code=rows // positions_per_example,
+        position=rows % positions_per_example + 1,
+        topk=bases[:, None] + np.arange(k),  # base < vocab-k-1, so no wraparound
+        topk_len=np.full(n_positions, k),
+        final=np.where(bits, bases + slots, (bases + k + offsets) % vocab),
+        layer=np.full(n_positions, 0 if layer is None else layer),
+        layer_absent=np.full(n_positions, layer is None),
+    )

@@ -1,0 +1,364 @@
+"""The in-memory trace and its JSONL file format.
+
+A trace is line-delimited JSON, one record per logged token position:
+
+    {"example_id": str, "position": int, "early_topk": [int, ...],
+     "final": int, "layer": int?}
+
+In memory it is a ``TraceTable``, one numpy column per field, so that
+synthesis, I/O and estimation work on whole columns rather than on one
+object per line.  ``TraceRecord`` is its row type.  Field types are
+strict: a bool, float or numeric string where an integer belongs is an
+error, never coerced.
+"""
+
+from __future__ import annotations
+
+import json
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass
+from itertools import chain
+from pathlib import Path
+from typing import IO, Iterable, Iterator
+
+import numpy as np
+
+from .core import DomainError
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+# rows per block when a table is turned back into Python values, which bounds that memory
+_ROW_BLOCK = 4096
+_ROW_COLUMNS = ("example_code", "position", "topk", "topk_len", "final", "layer", "layer_absent")
+
+
+class ParseError(ValueError):
+    """A trace line could not be parsed; carries the 1-based line number."""
+
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"line {line_no}: {reason}")
+        self.line_no = line_no
+        self.reason = reason
+
+
+class DuplicateIdError(ValueError):
+    """early_topk contained the same token id twice.
+
+    ``line_no`` is the 1-based trace line when the record came from a file.
+    """
+
+    def __init__(self, reason: str, line_no: int | None = None):
+        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
+        self.line_no = line_no
+        self.reason = reason
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    """One trace row, as yielded by iterating a ``TraceTable``."""
+
+    example_id: str
+    position: int               # 1-based token index within the example
+    early_topk: tuple[int, ...]  # ranked early candidates, no duplicates
+    final: int
+    layer: int | None = None    # optional early-prediction layer tag
+
+    def __post_init__(self) -> None:
+        early = self.early_topk
+        if type(early) is not tuple or any(type(t) is not int for t in early):
+            early = tuple(int(t) for t in early)
+            object.__setattr__(self, "early_topk", early)
+        if self.position < 1:
+            raise DomainError(f"position must be >= 1, got {self.position}")
+        if len(set(early)) != len(early):
+            raise DuplicateIdError(f"duplicate ids in early_topk: {early}")
+
+
+def _column(values, name: str) -> np.ndarray:
+    """A read-only int64 (bool for ``layer_absent``) copy; other element kinds are rejected."""
+    dtype, kinds = (bool, "b") if name == "layer_absent" else (np.int64, "iu")
+    col = np.array(values)
+    if col.size and col.dtype.kind not in kinds:
+        raise DomainError(f"{name} must hold {np.dtype(dtype).name} values, got {col.dtype}")
+    col = col.astype(dtype, copy=False)
+    col.setflags(write=False)
+    return col
+
+
+def _row_fault(row: int, reason: str, line_nos: Sequence[int] | None,
+               duplicate: bool = False) -> ValueError:
+    """The error for a bad row: by trace line when the row came from a file."""
+    if line_nos is None:
+        reason = f"row {row}: {reason}"
+        return DuplicateIdError(reason) if duplicate else DomainError(reason)
+    if duplicate:
+        return DuplicateIdError(reason, line_nos[row])
+    return ParseError(line_nos[row], reason)
+
+
+@dataclass(frozen=True, eq=False)
+class TraceTable:
+    """A trace as columns; row i is one logged token position.
+
+    ``topk[i, :topk_len[i]]`` are row i's ranked early candidates.  The
+    length column marks a row's end because no padding value could: any
+    int is a valid token id.  Construction trims ``topk`` to the longest
+    row and zeroes the padding.  ``layer[i]`` is meaningful only where
+    ``layer_absent[i]`` is false.  ``example_ids`` is the string table
+    that ``example_code`` indexes.  ``line_nos`` (not stored) gives each
+    row's trace line so that a bad value is reported by line.
+
+    Construction validates shapes, positions (>= 1) and candidate
+    uniqueness; all columns are read-only.
+    """
+
+    example_ids: tuple[str, ...]
+    example_code: np.ndarray   # int64 (n,)
+    position: np.ndarray       # int64 (n,)
+    topk: np.ndarray           # int64 (n, kmax)
+    topk_len: np.ndarray       # int64 (n,)
+    final: np.ndarray          # int64 (n,)
+    layer: np.ndarray          # int64 (n,)
+    layer_absent: np.ndarray   # bool (n,)
+    line_nos: InitVar[Sequence[int] | None] = None
+
+    def __post_init__(self, line_nos: Sequence[int] | None) -> None:
+        ids = tuple(self.example_ids)
+        cols = {name: _column(getattr(self, name), name) for name in _ROW_COLUMNS}
+        topk, lens, codes = cols["topk"], cols["topk_len"], cols["example_code"]
+        n = lens.size
+        if (
+            any(type(s) is not str for s in ids)
+            or topk.ndim != 2
+            or any(c.shape[:1] != (n,) or (c.ndim != 1 and c is not topk) for c in cols.values())
+            or n and not (0 <= codes.min() and codes.max() < len(ids))
+            or n and not (0 <= lens.min() and lens.max() <= topk.shape[1])
+        ):
+            raise DomainError(
+                "trace columns must have one length n, with topk of shape (n, kmax), "
+                "topk_len in [0, kmax] and example_code indexing the string table example_ids"
+            )
+
+        kmax = int(lens.max(initial=0))
+        valid = np.arange(kmax) < lens[:, None]
+        topk = np.where(valid, topk[:, :kmax], 0)
+        layer = np.where(cols["layer_absent"], 0, cols["layer"])
+        topk.setflags(write=False)
+        layer.setflags(write=False)
+        cols.update(topk=topk, layer=layer, example_ids=ids)
+        for name, value in cols.items():
+            object.__setattr__(self, name, value)
+
+        bad_position = cols["position"] < 1
+        # pad with the largest int64: the first topk_len sorted entries are then the row's ids
+        ranked = np.sort(np.where(valid, topk, _INT64_MAX), axis=1)
+        duplicate = ((ranked[:, 1:] == ranked[:, :-1]) & valid[:, 1:]).any(axis=1)
+        bad = bad_position | duplicate
+        if bad.any():
+            row = int(bad.argmax())
+            if bad_position[row]:
+                raise _row_fault(row, f"position must be >= 1, got {int(cols['position'][row])}",
+                                 line_nos)
+            ids_of_row = topk[row, : lens[row]].tolist()
+            raise _row_fault(row, f"duplicate ids in early_topk: {ids_of_row}", line_nos,
+                             duplicate=True)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> TraceTable:
+        """A table of ``records`` in order; field types are checked as strictly as on load."""
+        records = list(records)
+        return _table_from_rows(
+            [r.example_id for r in records],
+            [r.position for r in records],
+            [r.early_topk for r in records],
+            [r.final for r in records],
+            [r.layer for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.position)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        ids = self.example_ids
+        for code, pos, row, n, fin, lay, absent in self._rows():
+            yield TraceRecord(ids[code], pos, tuple(row[:n]), fin, None if absent else lay)
+
+    def _rows(self) -> Iterator[tuple]:
+        """Each row's column values as Python scalars, converted a block at a time."""
+        for start in range(0, len(self), _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            yield from zip(*(getattr(self, name)[block].tolist() for name in _ROW_COLUMNS))
+
+    def _row_ids(self) -> np.ndarray:
+        return np.array(self.example_ids, dtype=object)[self.example_code]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, str) and all(
+            isinstance(r, TraceRecord) for r in other
+        ):
+            other = TraceTable.from_records(other)
+        if not isinstance(other, TraceTable):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        same_ids = (
+            self.example_ids == other.example_ids
+            and np.array_equal(self.example_code, other.example_code)
+        ) or np.array_equal(self._row_ids(), other._row_ids())
+        # construction zeroes padding and trims topk to the longest row, so equal rows
+        # give equal columns
+        return same_ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("position", "topk", "topk_len", "final", "layer", "layer_absent")
+        )
+
+
+def _is_int64(value: object) -> bool:
+    return type(value) is int and _INT64_MIN <= value <= _INT64_MAX
+
+
+def _all_int64(values: list) -> bool:
+    return not values or (
+        set(map(type, values)) == {int} and min(values) >= _INT64_MIN and max(values) <= _INT64_MAX
+    )
+
+
+def _mistyped(example_id, position, early, final, layer) -> str | None:
+    """Why one row's values are not of their field's strict type, or None."""
+    if type(example_id) is not str:
+        return f"example_id must be a string, got {example_id!r}"
+    if not _is_int64(position):
+        return f"position must be an int64 integer, got {position!r}"
+    if type(early) not in (list, tuple) or not all(map(_is_int64, early)):
+        return f"early_topk must be a list of int64 token ids, got {early!r}"
+    if not _is_int64(final):
+        return f"final must be an int64 integer, got {final!r}"
+    if layer is not None and not _is_int64(layer):
+        return f"layer must be an int64 integer or absent, got {layer!r}"
+    return None
+
+
+def _strictly_typed(ids: list, positions: list, early: list, finals: list, layers: list) -> bool:
+    """Whole-column form of ``_mistyped(*row) is None`` for every row."""
+    return (
+        set(map(type, ids)) <= {str}
+        and _all_int64(positions)
+        and set(map(type, early)) <= {list, tuple}
+        and _all_int64(list(chain.from_iterable(early)))
+        and _all_int64(finals)
+        and _all_int64([v for v in layers if v is not None])
+    )
+
+
+def _table_from_rows(
+    ids: list, positions: list, early: list, finals: list, layers: list,
+    line_nos: list[int] | None = None,
+) -> TraceTable:
+    """Columns from per-row Python values, each strictly of its field's type.
+
+    Bools, floats and numeric strings are rejected, not coerced.  The
+    first bad row in order is reported, whether its fault is a type or a
+    value.
+    """
+    stop, fault = len(ids), None
+    if not _strictly_typed(ids, positions, early, finals, layers):
+        stop, fault = next(
+            (row, why)
+            for row, why in enumerate(map(_mistyped, ids, positions, early, finals, layers))
+            if why is not None
+        )
+        ids, positions, early, finals, layers = (
+            ids[:stop], positions[:stop], early[:stop], finals[:stop], layers[:stop]
+        )
+    lens = np.fromiter(map(len, early), np.int64, stop)
+    kmax = int(lens.max(initial=0))
+    topk = np.zeros((stop, kmax), np.int64)
+    topk[np.arange(kmax) < lens[:, None]] = np.fromiter(
+        chain.from_iterable(early), np.int64, int(lens.sum())
+    )
+    index: dict[str, int] = {}
+    codes = [index.setdefault(s, len(index)) for s in ids]
+    table = TraceTable(
+        example_ids=tuple(index),
+        example_code=codes,
+        position=positions,
+        topk=topk,
+        topk_len=lens,
+        final=finals,
+        layer=[0 if v is None else v for v in layers],
+        layer_absent=[v is None for v in layers],
+        line_nos=line_nos,
+    )
+    if fault is not None:
+        raise _row_fault(stop, fault, line_nos)
+    return table
+
+
+def as_table(records: TraceTable | Iterable[TraceRecord]) -> TraceTable:
+    """The table itself, or a table built from an iterable of records."""
+    return records if isinstance(records, TraceTable) else TraceTable.from_records(records)
+
+
+def load_traces(source: str | Path | IO[str]) -> TraceTable:
+    """Parse a JSONL trace in file order; blank lines are ignored.
+
+    Each field must have its JSON type exactly (``position``, ``final``,
+    the ``early_topk`` entries and a present ``layer`` are integers;
+    ``example_id`` is a string); anything else raises ParseError naming
+    the first bad line.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return load_traces(fh)
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    ids, positions, early, finals, layers, line_nos = columns
+    try:
+        for line_no, line in enumerate(source, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(line_no, f"invalid JSON ({exc.msg})") from None
+            if type(obj) is not dict:
+                raise ParseError(line_no, "each line must be a JSON object")
+            try:
+                row = (obj["example_id"], obj["position"], obj["early_topk"], obj["final"])
+            except KeyError as exc:
+                raise ParseError(line_no, f"missing field {exc.args[0]!r}") from None
+            ids.append(row[0])
+            positions.append(row[1])
+            early.append(row[2])
+            finals.append(row[3])
+            layers.append(obj.get("layer"))
+            line_nos.append(line_no)
+    except ParseError:
+        _table_from_rows(*columns)  # a bad value on an earlier line is reported first
+        raise
+    return _table_from_rows(*columns)
+
+
+def save_traces(
+    records: TraceTable | Iterable[TraceRecord], sink: str | Path | IO[str]
+) -> None:
+    """Write records as JSONL; load_traces(save_traces(r)) is the identity.
+
+    Each line is byte-identical to ``json.dumps`` of the record's object
+    (ASCII escapes included), with ``layer`` omitted when absent.
+    """
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w", encoding="utf-8") as fh:
+            save_traces(records, fh)
+            return
+    table = as_table(records)
+    quoted = [json.dumps(s) for s in table.example_ids]
+
+    def lines() -> Iterator[str]:
+        for code, pos, row, n, fin, lay, absent in table._rows():
+            # str() of a list of ints is its JSON text
+            head = (f'{{"example_id": {quoted[code]}, "position": {pos}, '
+                    f'"early_topk": {row[:n]}, "final": {fin}')
+            yield f"{head}}}\n" if absent else f'{head}, "layer": {lay}}}\n'
+
+    sink.writelines(lines())

@@ -189,6 +189,40 @@ def test_matchrate_errors(tmp_path, capsys) -> None:
     assert "line 1" in capsys.readouterr().err
 
 
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_matchrate_non_utf8_input_is_usage_error(tmp_path, capsys) -> None:
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b'{"example_id": "\xff", "position": 1, "early_topk": [1], "final": 1}\n')
+    assert main(["matchrate", "--input", str(path), "--k", "1"]) == 2
+    assert "utf-8" in _single_error_line(capsys)
+
+
+def test_matchrate_directory_input_is_usage_error(tmp_path, capsys) -> None:
+    assert main(["matchrate", "--input", str(tmp_path), "--k", "1"]) == 2
+    _single_error_line(capsys)
+
+
+def test_config_malformed_json_is_usage_error(tmp_path, capsys) -> None:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"d": 40, "dbar": 20,')
+    assert main(["analyze", "--config", str(cfg), "--k", "3", "--l", "8", "--p", "0.5"]) == 2
+    assert "invalid JSON" in _single_error_line(capsys)
+
+
+def test_config_wrong_type_is_usage_error(tmp_path, capsys) -> None:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": "40", "dbar": 20, "k": 3, "l": 8, "p": 0.5}))
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert "'d'" in _single_error_line(capsys)
+    # a flag replaces the file's value before it is checked
+    assert main(["analyze", "--config", str(cfg), "--d", "40"]) == 0
+
+
 def test_verify_small_run_passes(capsys) -> None:
     argv = ["verify", "--instances", "10", "--seed", "5"]
     assert main(argv) == 0

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pipedec.core import DomainError
@@ -12,6 +14,7 @@ from pipedec.trace import (
     MatchRateReport,
     ParseError,
     TraceRecord,
+    TraceTable,
     forecast_from_trace,
     load_traces,
     match_rate,
@@ -202,3 +205,119 @@ def test_report_json_and_csv_layout() -> None:
 def test_planted_trace_is_deterministic() -> None:
     assert planted_trace(0.3, 50, 2, seed=13) == planted_trace(0.3, 50, 2, seed=13)
     assert planted_trace(0.3, 50, 2, seed=13) != planted_trace(0.3, 50, 2, seed=14)
+
+
+GOOD_LINE = '{"example_id": "a", "position": 1, "early_topk": [1, 2], "final": 2}'
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ('{"example_id": "a", "position": 2, "early_topk": [1.7, 2], "final": 2}', "early_topk"),
+        ('{"example_id": "a", "position": 2, "early_topk": [1, 2], "final": "1"}', "final"),
+        ('{"example_id": "a", "position": true, "early_topk": [1, 2], "final": 1}', "position"),
+        ('{"example_id": 5, "position": 2, "early_topk": [1, 2], "final": 1}', "example_id"),
+        ('{"example_id": "a", "position": 2, "early_topk": [1], "final": 1, "layer": 2.0}',
+         "layer"),
+        ('{"example_id": "a", "position": 2, "early_topk": [9223372036854775808], "final": 1}',
+         "early_topk"),
+    ],
+    ids=["float_topk_entry", "string_final", "bool_position", "int_example_id",
+         "float_layer", "id_beyond_int64"],
+)
+def test_loader_rejects_mistyped_value(line: str, field: str) -> None:
+    with pytest.raises(ParseError, match="line 3") as err:
+        load_traces(io.StringIO(GOOD_LINE + "\n\n" + line + "\n"))
+    assert err.value.line_no == 3
+    assert err.value.reason.startswith(field)
+
+
+def test_duplicate_id_names_its_line() -> None:
+    dup = '{"example_id": "a", "position": 2, "early_topk": [3, 3], "final": 3}'
+    with pytest.raises(DuplicateIdError, match="line 2") as err:
+        load_traces(io.StringIO(GOOD_LINE + "\n" + dup + "\n"))
+    assert err.value.line_no == 2
+
+
+def test_first_bad_line_is_reported() -> None:
+    # a bad value on line 2 precedes a line-3 fault found while reading
+    text = GOOD_LINE.replace('"position": 1', '"position": 0') + "\n"
+    for later in ("not json", '{"example_id": 5}', GOOD_LINE.replace("2]", "1.5]")):
+        with pytest.raises(ParseError, match="line 2: position must be >= 1"):
+            load_traces(io.StringIO(GOOD_LINE + "\n" + text + later + "\n"))
+
+
+HAND_BUILT = [
+    TraceRecord("caf\u00e9-\u03b1", 1, (5, 9, 2), 9, layer=12),
+    TraceRecord("caf\u00e9-\u03b1", 2, (7,), 3),
+    TraceRecord("\u4f8b\u5b50 \"q\"", 1, (4, 0, 11, 6), 6, layer=0),
+    TraceRecord("plain", 7, (2**40, -3), -3),
+]
+
+
+@pytest.mark.parametrize(
+    "records, digest",
+    [
+        (lambda: planted_trace(0.6837, 2000, 3, seed=0, layer=20),
+         "7dd4322f9276d43ada4a9d1d5d96107a30ee811bfbbf7c82839478749b5bcd4a"),
+        (lambda: HAND_BUILT,
+         "37756ceef998f4b834b0c7fa7b8210f1d22acc1a4ca75c5a5a44d251808f2212"),
+    ],
+    ids=["planted", "hand_built"],
+)
+def test_save_traces_bytes_are_pinned(records, digest: str) -> None:
+    # digests of the json.dumps-per-record writer this format was defined by
+    buf = io.StringIO()
+    save_traces(records(), buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+def test_table_rows_and_equality() -> None:
+    table = TraceTable.from_records(HAND_BUILT)
+    assert len(table) == 4
+    assert list(table) == HAND_BUILT
+    assert table == HAND_BUILT and table == tuple(HAND_BUILT)
+    assert table != HAND_BUILT[:3] and table != HAND_BUILT[::-1]
+    assert TraceTable.from_records([]) == []
+    assert table.topk.dtype == np.int64 and table.topk.shape == (4, 4)
+    assert table.topk_len.tolist() == [3, 1, 4, 2]
+    assert table.layer_absent.tolist() == [False, True, False, True]
+    with pytest.raises(ValueError):
+        table.position[0] = 5  # columns are read-only
+
+
+def test_table_padding_is_not_data() -> None:
+    def table(pad: int, width: int) -> TraceTable:
+        return TraceTable(
+            example_ids=("a", "b"), example_code=[1, 0], position=[1, 2],
+            topk=[[4, pad] + [pad] * (width - 2), [5, 6] + [pad] * (width - 2)],
+            topk_len=[1, 2], final=[4, 6], layer=[pad, 3], layer_absent=[True, False],
+        )
+
+    assert table(0, 2) == table(-1, 5)
+    assert table(4, 3).topk.tolist() == [[4, 0], [5, 6]]
+    assert list(table(7, 2)) == [TraceRecord("b", 1, (4,), 4), TraceRecord("a", 2, (5, 6), 6, 3)]
+
+
+def test_table_construction_errors() -> None:
+    good = dict(example_ids=("a",), example_code=[0], position=[1], topk=[[1, 2]],
+                topk_len=[2], final=[1], layer=[0], layer_absent=[True])
+    TraceTable(**good)
+    for change in ({"topk": [[1, 1]]}, {"topk": [[1, 5], [1, 5]]}, {"topk_len": [3]},
+                   {"example_code": [1]}, {"final": [1.5]}, {"position": [0]}):
+        with pytest.raises(ValueError):
+            TraceTable(**{**good, **change})
+    with pytest.raises(DuplicateIdError, match="row 0"):
+        TraceTable(**{**good, "topk": [[1, 1]]})
+    with pytest.raises(DomainError, match="row 0"):
+        TraceTable.from_records([TraceRecord(5, 1, (1,), 1)])
+
+
+def test_reports_carry_python_scalars() -> None:
+    report = match_rate_by_bucket(planted_trace(0.5, 64, 2, seed=15), 2, bucket_width=4)
+    fields = [report.k, report.total_positions, report.matches, report.p_hat, *report.ci95]
+    for b in report.buckets:
+        fields += [b.lo, b.hi, b.count, b.matches, b.p_hat]
+    assert {type(f) for f in fields} <= {int, float}
+    assert "np." not in report_to_csv(report)
+    json.loads(report_to_json(report))
