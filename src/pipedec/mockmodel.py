@@ -19,7 +19,6 @@ scorers and exercises long handoff chains.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,14 +76,6 @@ def _layer_base(model: MockModel) -> int:
     return mix64((model.seed & _MASK64) ^ _LAYER_TAG)
 
 
-def _score_base(model: MockModel) -> int:
-    return mix64((model.seed & _MASK64) ^ _SCORE_TAG)
-
-
-def _layer_step(value: int, layer_key: int, digest: int) -> int:
-    return mix64((value + layer_key + digest) & _MASK64)
-
-
 def prefix_digest(model: MockModel, tokens: Sequence[int]) -> int:
     """Digest of a token prefix; the layer-0 state of the next position."""
     acc = mix64((model.seed & _MASK64) ^ _PREFIX_TAG)
@@ -103,60 +94,81 @@ def forward_layer(
 ) -> HiddenState:
     """Advance one layer: mix the previous state with the layer key and context digest."""
     key = mix64(_layer_base(model) ^ layer)
-    return HiddenState(_layer_step(prev_hidden.value, key, token_context_digest))
+    return HiddenState(mix64((prev_hidden.value + key + token_context_digest) & _MASK64))
 
 
-def _chain(model: MockModel, value: int, digest: int, lo_layer: int, hi_layer: int) -> int:
-    """Run layers lo..hi (inclusive) starting from ``value``; equals repeated forward_layer."""
+def _layer_keys(model: MockModel) -> tuple[int, ...]:
+    """The key of layer j at index j, for j = 0..d (index 0 belongs to no layer)."""
     base = _layer_base(model)
-    for j in range(lo_layer, hi_layer + 1):
-        value = _layer_step(value, mix64(base ^ j), digest)
+    return tuple(mix64(base ^ j) for j in range(model.depth + 1))
+
+
+def _chain(keys: tuple[int, ...], value: int, digest: int, lo_layer: int, hi_layer: int) -> int:
+    """Run layers lo..hi (inclusive) starting from ``value``; equals repeated forward_layer."""
+    for key in keys[lo_layer : hi_layer + 1]:
+        # mix64 reduces its argument mod 2**64 first, so the sum needs no mask
+        value = mix64(value + key + digest)
     return value
 
 
-def _token_scores(model: MockModel, hidden_value: int) -> np.ndarray:
+def _scorer(model: MockModel):
+    """Both classifiers' scoring: a hidden value to one uint64 score per vocabulary id."""
     ids = np.arange(model.vocab_size, dtype=np.uint64)
-    base = np.uint64((hidden_value ^ _score_base(model)) & _MASK64)
-    return mix64_np(base ^ ids)
+    base = mix64((model.seed & _MASK64) ^ _SCORE_TAG)
+    return lambda hidden_value: mix64_np(np.uint64((hidden_value ^ base) & _MASK64) ^ ids)
+
+
+def _top_k(scores: np.ndarray, k: int) -> list[int]:
+    """Ids of the k highest scores, best first, equal to a stable descending sort's first k.
+
+    The scores of one state never tie: id -> base ^ id is injective, and
+    mix64 is a bijection on 64-bit words (an add, xor-shifts and odd
+    multiplies mod 2**64), so distinct ids get distinct scores.  The k
+    winners of a partition, sorted, are therefore exactly the first k of
+    the full stable sort, and its rule "smaller id first on ties" never
+    has to apply.
+    """
+    # ~scores is monotone decreasing on uint64: ascending in it is descending in score
+    neg = ~scores
+    winners = np.argpartition(neg, k - 1)[:k]
+    return winners[np.argsort(neg[winners], kind="stable")].tolist()
 
 
 def early_topk(model: MockModel, hidden_at_dbar: HiddenState, k: int) -> list[int]:
-    """The k highest-scoring token ids, ties broken toward smaller ids."""
+    """The k highest-scoring token ids, best first (scores never tie; see _top_k)."""
     if not (1 <= k <= model.vocab_size):
         raise DomainError(f"k must lie in [1, vocab_size], got k={k}, vocab={model.vocab_size}")
-    scores = _token_scores(model, hidden_at_dbar.value)
-    # ~scores is a monotone decreasing map on uint64, so a stable ascending
-    # sort of it ranks by descending score with smaller ids first on ties
-    order = np.argsort(~scores, kind="stable")
-    return [int(i) for i in order[:k]]
+    return _top_k(_scorer(model)(hidden_at_dbar.value), k)
 
 
 def final_token(model: MockModel, hidden_at_d: HiddenState) -> int:
     """Greedy pick from the final-layer state; same scorer as early_topk."""
-    return int(_token_scores(model, hidden_at_d.value).argmax())
+    return int(_scorer(model)(hidden_at_d.value).argmax())
 
 
-def _bias_hit(model: MockModel, position: int) -> bool:
-    if model.bias <= 0.0:
-        return False
-    draw = mix64(mix64((model.seed & _MASK64) ^ _BIAS_TAG) ^ position)
-    return draw < int(model.bias * 2.0 ** 64)
+def _bias_rule(model: MockModel):
+    """Predicate on positions: does the early ranking copy the final one there?"""
+    key = mix64((model.seed & _MASK64) ^ _BIAS_TAG)
+    threshold = int(model.bias * 2.0 ** 64)
+    return lambda position: mix64(key ^ position) < threshold
 
 
 def decode_sequential(model: MockModel, prompt: Sequence[int], ell: int) -> DecodeResult:
-    """Plain greedy decoding: one full depth-d pass per token."""
+    """Plain greedy decoding: one full depth-d pass per token.
+
+    The prompt is folded once; each token then extends the digest.
+    """
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
-    context = list(prompt)
+    keys, scores = _layer_keys(model), _scorer(model)
+    digest = prefix_digest(model, prompt)
     tokens: list[int] = []
     for _ in range(ell):
-        digest = prefix_digest(model, context)
-        h = _chain(model, digest, digest, 1, model.depth)
-        tok = final_token(model, HiddenState(h))
+        tok = int(scores(_chain(keys, digest, digest, 1, model.depth)).argmax())
         tokens.append(tok)
-        context.append(tok)
         if model.eos_enabled and tok == EOS_TOKEN:
             break
+        digest = extend_digest(model, digest, tok)
     return DecodeResult(
         tokens=tuple(tokens),
         match_trace=MatchSequence(()),
@@ -165,32 +177,12 @@ def decode_sequential(model: MockModel, prompt: Sequence[int], ell: int) -> Deco
     )
 
 
-def _speculate(
-    model: MockModel,
-    digest: int,
-    candidates: list[int],
-    window: int,
-    parallel: bool,
-) -> list[int]:
-    """Layer-``window`` states of the next position, one per candidate token."""
-
-    def one(cand: int) -> int:
-        d2 = extend_digest(model, digest, cand)
-        return _chain(model, d2, d2, 1, window) if window > 0 else d2
-
-    if parallel and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=len(candidates)) as pool:
-            return list(pool.map(one, candidates))
-    return [one(c) for c in candidates]
-
-
 def decode_ppd(
     model: MockModel,
     prompt: Sequence[int],
     ell: int,
     d_bar: int,
     k: int,
-    parallel: bool = False,
 ) -> DecodeResult:
     """Pipelined decoding on the mock model.
 
@@ -199,7 +191,8 @@ def decode_ppd(
     main pass, and on a match hand the matching partial state to the main
     process, which resumes at layer d-d_bar+1.  Token output is identical
     to decode_sequential by construction; the layer counters record the
-    realized main-process and speculative work.
+    realized main-process and speculative work.  The speculative forwards
+    run one after another on the calling thread.
     """
     d = model.depth
     if ell < 1:
@@ -212,39 +205,43 @@ def decode_ppd(
         raise DomainError(f"k must lie in [1, vocab_size], got k={k}, vocab={model.vocab_size}")
 
     window = d - d_bar
-    context = list(prompt)
+    keys, scores, bias_hit = _layer_keys(model), _scorer(model), _bias_rule(model)
+    digest = prefix_digest(model, prompt)
     tokens: list[int] = []
     match_bits: list[bool] = []
     early_lists: list[tuple[int, ...]] = []
     main_layers = 0
     spec_layers = 0
     handoff: int | None = None
-    for _ in range(ell):
-        digest = prefix_digest(model, context)
+    for position in range(len(prompt) + 1, len(prompt) + ell + 1):
         if handoff is None:
-            h_dbar = _chain(model, digest, digest, 1, d_bar)
+            h_dbar = _chain(keys, digest, digest, 1, d_bar)
             main_layers += d
         else:
-            h_dbar = _chain(model, handoff, digest, window + 1, d_bar)
+            h_dbar = _chain(keys, handoff, digest, window + 1, d_bar)
             main_layers += d_bar
-        h_d = _chain(model, h_dbar, digest, d_bar + 1, d)
+        h_d = _chain(keys, h_dbar, digest, d_bar + 1, d)
+        final_scores = scores(h_d)
+        # at a bias hit the early ranking reads h_d, whose scores are already at hand
+        cands = _top_k(final_scores if bias_hit(position) else scores(h_dbar), k)
 
-        position = len(context) + 1
-        ranking_state = h_d if _bias_hit(model, position) else h_dbar
-        cands = early_topk(model, HiddenState(ranking_state), k)
-
-        sub_states = _speculate(model, digest, cands, window, parallel)
+        # layer-window states of the next position, one per candidate token
+        sub_digests = [extend_digest(model, digest, c) for c in cands]
+        sub_states = [_chain(keys, s, s, 1, window) for s in sub_digests]
         spec_layers += k * window
 
-        final = final_token(model, HiddenState(h_d))
+        final = int(final_scores.argmax())
         tokens.append(final)
-        context.append(final)
         matched = final in cands
         match_bits.append(matched)
         early_lists.append(tuple(cands))
-        handoff = sub_states[cands.index(final)] if matched else None
         if model.eos_enabled and final == EOS_TOKEN:
             break
+        if matched:
+            hit = cands.index(final)
+            handoff, digest = sub_states[hit], sub_digests[hit]
+        else:
+            handoff, digest = None, extend_digest(model, digest, final)
 
     # the last position's match outcome accelerates nothing and is not recorded
     trace = MatchSequence(tuple(match_bits[: len(tokens) - 1]))

@@ -14,6 +14,7 @@ error, never coerced.
 
 from __future__ import annotations
 
+import io
 import json
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
@@ -64,10 +65,15 @@ class TraceRecord:
     layer: int | None = None    # optional early-prediction layer tag
 
     def __post_init__(self) -> None:
-        early = self.early_topk
-        if type(early) is not tuple or any(type(t) is not int for t in early):
-            early = tuple(int(t) for t in early)
-            object.__setattr__(self, "early_topk", early)
+        early = tuple(self.early_topk)
+        object.__setattr__(self, "early_topk", early)
+        # the loader's rule: int64 ints only, so bools, floats and strings are errors
+        for name in ("position", "final", "layer"):
+            value = getattr(self, name)
+            if not (_is_int64(value) or name == "layer" and value is None):
+                raise DomainError(f"{name} must be an int64 integer, got {value!r}")
+        if not all(map(_is_int64, early)):
+            raise DomainError(f"early_topk must hold int64 token ids, got {early!r}")
         if self.position < 1:
             raise DomainError(f"position must be >= 1, got {self.position}")
         if len(set(early)) != len(early):
@@ -305,11 +311,16 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
     Each field must have its JSON type exactly (``position``, ``final``,
     the ``early_topk`` entries and a present ``layer`` are integers;
     ``example_id`` is a string); anything else raises ParseError naming
-    the first bad line.
+    the first bad line.  A file that is not UTF-8 raises ParseError naming
+    the first undecodable line, unless an earlier line is bad.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_traces(fh)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                return load_traces(fh)
+        except UnicodeDecodeError:
+            _raise_undecodable(Path(source).read_bytes())
+            raise
     columns: tuple[list, ...] = ([], [], [], [], [], [])
     ids, positions, early, finals, layers, line_nos = columns
     try:
@@ -337,6 +348,22 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
         _table_from_rows(*columns)  # a bad value on an earlier line is reported first
         raise
     return _table_from_rows(*columns)
+
+
+def _raise_undecodable(data: bytes) -> None:
+    """Raise ParseError for the first line of ``data`` that is not UTF-8, if there is one."""
+    # bytes.splitlines splits where a text-mode file does ('\n', '\r', '\r\n'); those
+    # bytes never occur inside a UTF-8 sequence, so each line decodes on its own
+    lines = data.splitlines(keepends=True)
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the lines above decode, so a bad value among them is reported first
+            load_traces(io.StringIO(b"".join(lines[: line_no - 1]).decode("utf-8"), newline=None))
+            raise ParseError(
+                line_no, f"not valid UTF-8 (utf-8 codec: {exc.reason} at byte {exc.start + 1})"
+            ) from None
 
 
 def save_traces(

@@ -202,6 +202,14 @@ def test_matchrate_non_utf8_input_is_usage_error(tmp_path, capsys) -> None:
     assert "utf-8" in _single_error_line(capsys)
 
 
+def test_matchrate_non_utf8_input_names_its_line(tmp_path, capsys) -> None:
+    good = b'{"example_id": "a", "position": 1, "early_topk": [1], "final": 1}\n'
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(good + good.replace(b'"a"', b'"\xff"') + good)
+    assert main(["matchrate", "--input", str(path), "--k", "1"]) == 2
+    assert "line 2: not valid UTF-8" in _single_error_line(capsys)
+
+
 def test_matchrate_directory_input_is_usage_error(tmp_path, capsys) -> None:
     assert main(["matchrate", "--input", str(tmp_path), "--k", "1"]) == 2
     _single_error_line(capsys)

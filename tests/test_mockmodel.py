@@ -6,11 +6,17 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pipedec.core import DomainError
+from pipedec.core import DomainError, MatchSequence
 from pipedec.mockmodel import (
+    _BIAS_TAG,
+    _SCORE_TAG,
     EOS_TOKEN,
+    DecodeResult,
     HiddenState,
     MockModel,
     decode_ppd,
@@ -28,6 +34,7 @@ from pipedec.rng import mix64
 from pipedec.trace import match_rate
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_rollout.json"
+_MASK64 = (1 << 64) - 1
 
 
 def test_forward_layer_deterministic_and_layer_sensitive() -> None:
@@ -182,13 +189,6 @@ def test_handoff_state_equals_fresh_forward() -> None:
     assert h == full
 
 
-def test_parallel_execution_mode_is_identical() -> None:
-    model = MockModel(vocab_size=16, depth=12, seed=55, bias=0.8)
-    serial = decode_ppd(model, (1, 2), 10, d_bar=7, k=3, parallel=False)
-    threaded = decode_ppd(model, (1, 2), 10, d_bar=7, k=3, parallel=True)
-    assert serial == threaded
-
-
 def test_bias_dials_match_rate_up() -> None:
     base = MockModel(vocab_size=64, depth=12, seed=7, bias=0.0)
     biased = MockModel(vocab_size=64, depth=12, seed=7, bias=1.0)
@@ -253,3 +253,139 @@ def test_golden_rollout_is_reproduced() -> None:
 def test_random_instance_is_deterministic() -> None:
     assert random_instance(5, 1) == random_instance(5, 1)
     assert random_instance(5, 1) != random_instance(6, 1)
+
+
+# ------------------------------------------------- exactness properties
+
+def reference_scores(model: MockModel, h: HiddenState) -> np.ndarray:
+    """Both classifiers' scores, one scalar mix64 per id."""
+    base = mix64((model.seed & _MASK64) ^ _SCORE_TAG)
+    return np.array([mix64((h.value ^ base) ^ i) for i in range(model.vocab_size)], np.uint64)
+
+
+def reference_topk(model: MockModel, h: HiddenState, k: int) -> list[int]:
+    return [int(i) for i in np.argsort(~reference_scores(model, h), kind="stable")[:k]]
+
+
+def reference_ppd(model: MockModel, prompt, ell: int, d_bar: int, k: int) -> DecodeResult:
+    """decode_ppd restated from the public ops, recomputing everything per token.
+
+    Each position's digest is prefix_digest of its whole context, every
+    layer is one forward_layer, and candidates come from a stable argsort.
+    """
+    d, window = model.depth, model.depth - d_bar
+
+    def run(h: HiddenState, digest: int, lo: int, hi: int) -> HiddenState:
+        for layer in range(lo, hi + 1):
+            h = forward_layer(model, h, layer, digest)
+        return h
+
+    def bias_hit(position: int) -> bool:
+        draw = mix64(mix64((model.seed & _MASK64) ^ _BIAS_TAG) ^ position)
+        return model.bias > 0.0 and draw < int(model.bias * 2.0**64)
+
+    context, tokens, bits, lists = list(prompt), [], [], []
+    main = spec = 0
+    handoff = None
+    for _ in range(ell):
+        digest = prefix_digest(model, context)
+        if handoff is None:
+            h_dbar, main = run(HiddenState(digest), digest, 1, d_bar), main + d
+        else:
+            h_dbar, main = run(handoff, digest, window + 1, d_bar), main + d_bar
+        h_d = run(h_dbar, digest, d_bar + 1, d)
+        cands = reference_topk(model, h_d if bias_hit(len(context) + 1) else h_dbar, k)
+        subs = {}
+        for c in cands:
+            sub_digest = prefix_digest(model, context + [c])
+            subs[c] = run(HiddenState(sub_digest), sub_digest, 1, window)
+        spec += k * window
+        final = final_token(model, h_d)
+        tokens.append(final)
+        context.append(final)
+        bits.append(final in cands)
+        lists.append(tuple(cands))
+        handoff = subs.get(final)
+        if model.eos_enabled and final == EOS_TOKEN:
+            break
+    return DecodeResult(tuple(tokens), MatchSequence(tuple(bits[:-1])), main, spec, tuple(lists))
+
+
+@st.composite
+def ppd_cases(draw):
+    vocab = draw(st.integers(2, 40))
+    depth = draw(st.integers(1, 12))
+    model = MockModel(
+        vocab_size=vocab,
+        depth=depth,
+        seed=draw(st.integers(0, _MASK64)),
+        eos_enabled=draw(st.booleans()),
+        bias=draw(st.sampled_from((0.0, 0.5, 1.0))),
+    )
+    prompt = tuple(draw(st.lists(st.integers(0, vocab - 1), max_size=4)))
+    d_bar = draw(st.integers((depth + 1) // 2, depth))
+    return model, prompt, draw(st.integers(1, 24)), d_bar, draw(st.integers(1, vocab))
+
+
+# (model, prompt, ell, d_bar, k) at the edges of the valid domain
+EDGE_CASES = {
+    "d_bar_is_d": (MockModel(16, 10, 3), (1,), 12, 10, 3),
+    "d_bar_is_half_d": (MockModel(16, 9, 4, bias=0.5), (2,), 12, 5, 2),
+    "depth_one": (MockModel(5, 1, 8), (0, 4), 9, 1, 2),
+    "k_is_vocab": (MockModel(8, 6, 5), (1,), 10, 3, 8),
+    "vocab_two": (MockModel(2, 6, 6, bias=0.5), (1,), 16, 4, 1),
+    "ell_one": (MockModel(16, 8, 7), (3,), 1, 5, 2),
+    "eos_first_token": (MockModel(2, 4, 0, eos_enabled=True), (1,), 8, 2, 1),
+    "empty_prompt": (MockModel(16, 8, 9, bias=1.0), (), 10, 6, 3),
+}
+
+
+def with_edge_cases(test):
+    for case in EDGE_CASES.values():
+        test = example(case=case)(test)
+    return test
+
+
+def test_eos_edge_case_stops_at_the_first_token() -> None:
+    model, prompt, ell, d_bar, k = EDGE_CASES["eos_first_token"]
+    assert decode_sequential(model, prompt, ell).tokens == (EOS_TOKEN,)
+    assert decode_ppd(model, prompt, ell, d_bar, k).tokens == (EOS_TOKEN,)
+
+
+@settings(deadline=None)
+@with_edge_cases
+@given(case=ppd_cases())
+def test_pipelined_tokens_equal_greedy_tokens(case) -> None:
+    model, prompt, ell, d_bar, k = case
+    assert decode_ppd(model, prompt, ell, d_bar, k).tokens == (
+        decode_sequential(model, prompt, ell).tokens
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@with_edge_cases
+@given(case=ppd_cases())
+def test_decoders_equal_slow_reference(case) -> None:
+    model, prompt, ell, d_bar, k = case
+    ref = reference_ppd(model, prompt, ell, d_bar, k)
+    assert decode_ppd(model, prompt, ell, d_bar, k) == ref
+    seq = decode_sequential(model, prompt, ell)
+    assert seq.tokens == ref.tokens
+    assert seq.main_layer_count == model.depth * len(ref.tokens)
+    assert seq.spec_layer_count == 0
+
+
+@settings(deadline=None, max_examples=30)
+@example(vocab=2, seed=0, hidden=0)
+@example(vocab=1024, seed=11, hidden=0x9E3779B97F4A7C15)
+@given(
+    vocab=st.integers(2, 1100),
+    seed=st.integers(0, _MASK64),
+    hidden=st.integers(0, _MASK64),
+)
+def test_early_topk_equals_stable_argsort(vocab: int, seed: int, hidden: int) -> None:
+    model = MockModel(vocab_size=vocab, depth=4, seed=seed)
+    h = HiddenState(hidden)
+    order = np.argsort(~reference_scores(model, h), kind="stable")
+    for k in range(1, vocab + 1):
+        assert early_topk(model, h, k) == order[:k].tolist()

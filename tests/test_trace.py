@@ -247,6 +247,50 @@ def test_first_bad_line_is_reported() -> None:
             load_traces(io.StringIO(GOOD_LINE + "\n" + text + later + "\n"))
 
 
+def test_non_utf8_file_names_its_line(tmp_path) -> None:
+    good = GOOD_LINE.encode() + b"\n"
+    bad = GOOD_LINE.replace('"a"', '"\xff"').encode("latin-1") + b"\n"
+    path = tmp_path / "trace.jsonl"
+    # '\r' and '\r\n' end lines too, as they do for a file read as text
+    path.write_bytes(good.replace(b"\n", b"\r") + good.replace(b"\n", b"\r\n") + bad + good)
+    with pytest.raises(ParseError, match="line 3: not valid UTF-8") as err:
+        load_traces(path)
+    assert err.value.line_no == 3
+    # a bad value on an earlier line is still reported first
+    path.write_bytes(good + GOOD_LINE.replace("2]", "1.5]").encode() + b"\n" + bad)
+    with pytest.raises(ParseError, match="line 2: early_topk"):
+        load_traces(path)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("a", 1, (1.7, 2), 1),
+        ("a", 1, (True, 2), 1),
+        ("a", 1, ("1", 2), 1),
+        ("a", 1, (2**63, 2), 1),
+        ("a", 1, (1, 2), "3"),
+        ("a", 1, (1, 2), 2.0),
+        ("a", True, (1, 2), 1),
+        ("a", 1.0, (1, 2), 1),
+        ("a", 1, (1, 2), 1, 2.0),
+        ("a", 1, (1, 2), 1, False),
+    ],
+    ids=["float_topk_entry", "bool_topk_entry", "string_topk_entry", "topk_beyond_int64",
+         "string_final", "float_final", "bool_position", "float_position", "float_layer",
+         "bool_layer"],
+)
+def test_record_rejects_mistyped_value(args: tuple) -> None:
+    with pytest.raises(DomainError):
+        TraceRecord(*args)
+
+
+def test_record_keeps_int_values() -> None:
+    record = TraceRecord("a", 2, [5, 3], 3, layer=None)
+    assert record.early_topk == (5, 3)
+    assert TraceRecord("a", 1, (), -1, 0).layer == 0
+
+
 HAND_BUILT = [
     TraceRecord("caf\u00e9-\u03b1", 1, (5, 9, 2), 9, layer=12),
     TraceRecord("caf\u00e9-\u03b1", 2, (7,), 3),
