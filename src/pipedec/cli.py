@@ -25,13 +25,17 @@ def _positive_int(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    text = text.strip()
-    return [int(x) for x in text.split(",") if x.strip()] if text else []
+    return _nonempty([int(x) for x in text.split(",") if x.strip()])
 
 
 def _float_list(text: str) -> list[float]:
-    text = text.strip()
-    return [float(x) for x in text.split(",") if x.strip()] if text else []
+    return _nonempty([float(x) for x in text.split(",") if x.strip()])
+
+
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one comma-separated value")
+    return values
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, with_p: bool = True) -> None:

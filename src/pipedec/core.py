@@ -1,4 +1,4 @@
-"""Shared domain types for pipelined-decoding analysis.
+"""Shared domain types and closed-form totals for pipelined-decoding analysis.
 
 All types are immutable value objects and safe to share across threads.
 """
@@ -6,6 +6,8 @@ All types are immutable value objects and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -67,6 +69,17 @@ def require_p(config: DecodingConfig) -> float:
     if config.p_correct is None:
         raise DomainError("this operation needs p_correct, but the config has none")
     return config.p_correct
+
+
+def closed_form_totals(d: int, d_bar: int, k: int, ell: int, n_runs: int | np.ndarray) -> tuple:
+    """Realized (latency, compute) of an ell-token generation in ``n_runs`` runs.
+
+    A run of X tokens holds the main process for d + (X-1)*d_bar time units,
+    and every token's speculation window adds k*(d-d_bar) compute.  ``n_runs``
+    is an int or an int64 array; the totals come back in its form.
+    """
+    latency = d_bar * ell + (d - d_bar) * n_runs
+    return latency, latency + k * (d - d_bar) * ell
 
 
 @dataclass(frozen=True)

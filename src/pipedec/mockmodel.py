@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, MatchSequence
+from .core import DomainError, MatchSequence, closed_form_totals
 from .rng import mix64, mix64_np, stream_key
 from .tracetable import TraceTable
 
@@ -330,15 +330,16 @@ def exactness_counterexample(inst: PpdInstance) -> str | None:
     ppd = decode_ppd(inst.model, inst.prompt, inst.ell, inst.d_bar, inst.k)
     if seq.tokens != ppd.tokens:
         return f"token mismatch: sequential={seq.tokens} pipelined={ppd.tokens} on {inst}"
-    d, d_bar = inst.model.depth, inst.d_bar
     ell_gen = len(ppd.tokens)
     n_runs = 1 + sum(1 for b in ppd.match_trace.bits if not b)
-    expected_main = d_bar * ell_gen + (d - d_bar) * n_runs
+    expected_main, expected_total = closed_form_totals(
+        inst.model.depth, inst.d_bar, inst.k, ell_gen, n_runs
+    )
     if ppd.main_layer_count != expected_main:
         return (
             f"main layer count {ppd.main_layer_count} != {expected_main} "
             f"(ell_gen={ell_gen}, n_runs={n_runs}) on {inst}"
         )
-    if ppd.spec_layer_count != inst.k * (d - d_bar) * ell_gen:
+    if ppd.spec_layer_count != expected_total - expected_main:
         return f"speculative layer count {ppd.spec_layer_count} wrong on {inst}"
     return None

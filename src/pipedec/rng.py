@@ -13,6 +13,7 @@ the Monte Carlo driver relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,46 @@ def counter_uniforms(key: int | np.ndarray, n: int) -> np.ndarray:
     else:
         words = mix64_np(np.asarray(key, dtype=np.uint64)[:, None] + ctr[None, :])
     return (words >> _U(11)).astype(np.float64) * (2.0 ** -53)
+
+
+_BLOCK_WORDS = 1 << 15  # words per work buffer: 256 KB of uint64 stays in L2
+
+
+def counter_hits(keys: np.ndarray, n: int, p: float) -> np.ndarray:
+    """Count, per stream key, the draws 0..n-1 that fall below ``p``.
+
+    Equals ``(counter_uniforms(keys, n) < p).sum(axis=1)`` exactly (int64,
+    shape (m,)) without the (m, n) matrix: keys go ``_BLOCK_WORDS // n`` at
+    a time through two reused uint64 buffers, mix64 runs in place on them,
+    and its leading ``+GOLDEN`` is folded into the counter row.
+
+    A draw is ``u = z * 2**-53`` with integer ``z = w >> 11 < 2**53``, and
+    scaling by a power of two is exact, so ``u < p`` iff ``z < p * 2**53``
+    iff ``z < ceil(p * 2**53)``: the count compares integers.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    m = keys.shape[0]
+    hits = np.zeros(m, dtype=np.int64)
+    if n == 0:
+        return hits
+    threshold = _U(math.ceil(float(p) * 2.0 ** 53))
+    ctr = np.arange(2, n + 2, dtype=np.uint64) * _U(GOLDEN)
+    rows = max(1, _BLOCK_WORDS // n)
+    z_buf = np.empty((min(rows, m), n), dtype=np.uint64)
+    t_buf = np.empty_like(z_buf)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        z, t = z_buf[: hi - lo], t_buf[: hi - lo]
+        np.add(keys[lo:hi, None], ctr, out=z)
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            np.right_shift(z, _U(shift), out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.multiply(z, _U(mult), out=z)
+        np.right_shift(z, _U(31), out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.right_shift(z, _U(11), out=z)
+        hits[lo:hi] = np.count_nonzero(z < threshold, axis=1)
+    return hits
 
 
 @dataclass(frozen=True)

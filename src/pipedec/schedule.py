@@ -18,7 +18,7 @@ sequence and records one event per contiguous layer range:
 Match verification and the hidden-state handoff are zero-cost
 instantaneous events; only layers are priced.  The resulting makespan
 and occupancy totals reproduce, from first principles, the same
-closed forms that cost_of_runs evaluates.
+closed forms of ``core.closed_form_totals``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecodingConfig, DomainError, MatchSequence, validate_config
+from .core import DecodingConfig, DomainError, MatchSequence, closed_form_totals, validate_config
 from . import svgout
 
 
@@ -130,8 +130,8 @@ class IdentityReport:
 def verify_identities(timeline: ScheduleTimeline) -> IdentityReport:
     """Check the timeline against the closed forms; failures are reported, never raised."""
     cfg = timeline.config
-    d, d_bar, k, ell = cfg.d, cfg.d_bar, cfg.k, cfg.ell
     n = timeline.n_runs
+    latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, n)
     occ = occupancy_profile(timeline)
 
     overlap = 0
@@ -149,8 +149,8 @@ def verify_identities(timeline: ScheduleTimeline) -> IdentityReport:
         makespan=timeline.makespan,
         occupancy_total=int(occ.sum()),
         n_runs=n,
-        latency_residual=timeline.makespan - (d_bar * ell + (d - d_bar) * n),
-        compute_residual=int(occ.sum()) - ((d_bar + k * (d - d_bar)) * ell + (d - d_bar) * n),
+        latency_residual=timeline.makespan - latency,
+        compute_residual=int(occ.sum()) - compute,
         overlap_violations=overlap,
         main_idle_units=timeline.makespan - main_busy,
     )

@@ -4,11 +4,12 @@ Each token's early prediction matches independently with probability
 p_correct, so the ell-1 match bits are i.i.d. Bernoulli(p), interior run
 lengths are geometric with success probability 1-p (the last run is
 whatever the Bernoulli tail produces, truncated at ell), and the run
-count is 1 + Binomial(ell-1, 1-p).  ``monte_carlo`` estimates the
-latency/compute expectations by replaying sample -> decompose -> cost
-over per-trial counter streams: trial i always consumes the stream
-derived from (seed, i), so chunked, serial, and parallel execution give
-bit-identical summaries.
+count is 1 + Binomial(ell-1, 1-p).  Every price depends on the run count
+N alone, so ``monte_carlo`` draws N per trial by counting the misses
+among trial i's ell-1 counter draws (the stream derived from (seed, i))
+and prices it with ``closed_form_totals``.  Trial i consumes the same
+draws as ``sample_match_sequence(Stream.from_seed(seed, i), ...)``, so
+the summary equals that per-trial path bit for bit.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from .core import (
     LatencyComputeReport,
     MatchSequence,
     RunDecomposition,
+    closed_form_totals,
     require_p,
     validate_config,
 )
-from .rng import Stream, counter_uniforms, stream_keys
-
-_CHUNK = 16384  # trials per vectorized block; bounds the counter matrix at ~32 MB
+from .rng import Stream, counter_hits, stream_keys
 
 
 def sample_match_sequence(stream: Stream | int, p_correct: float, ell: int) -> MatchSequence:
@@ -74,20 +74,17 @@ def matches_from_runs(runs: RunDecomposition) -> MatchSequence:
 def cost_of_runs(config: DecodingConfig, runs: RunDecomposition) -> LatencyComputeReport:
     """Exact latency and compute totals realized by a given run decomposition.
 
-    A run of length X occupies the main process for d + (X-1)*d_bar time
-    units and costs (d_bar + k*(d-d_bar))*X + (d-d_bar) compute; summed
-    over runs the totals depend only on ell and the run count N.
+    They depend only on ell and the run count N (``closed_form_totals``).
     """
     validate_config(config, exact_regime=True)
     if runs.ell != config.ell:
         raise DomainError(
             f"run lengths sum to {runs.ell} but the config generates {config.ell} tokens"
         )
-    d, d_bar, k, ell = config.d, config.d_bar, config.k, config.ell
-    n = runs.n_runs
-    total_latency = d_bar * ell + (d - d_bar) * n
-    total_compute = (d_bar + k * (d - d_bar)) * ell + (d - d_bar) * n
-    return LatencyComputeReport.from_totals(total_latency, total_compute, ell)
+    total_latency, total_compute = closed_form_totals(
+        config.d, config.d_bar, config.k, config.ell, runs.n_runs
+    )
+    return LatencyComputeReport.from_totals(total_latency, total_compute, config.ell)
 
 
 @dataclass(frozen=True)
@@ -116,29 +113,19 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 def monte_carlo(config: DecodingConfig, trials: int, seed: int) -> MonteCarloSummary:
     """Estimate expected latency/compute/run-count over ``trials`` generations.
 
-    Trial i samples its match bits from the counter stream keyed by
-    (seed, i) and prices them with cost_of_runs' closed forms, so the
-    summary is reproducible bit for bit for a given seed.
+    Trial i counts the matches among its ell-1 draws from the counter
+    stream keyed by (seed, i) and prices the run count with
+    ``closed_form_totals``, so the summary is reproducible bit for bit for
+    a given seed.
     """
     validate_config(config, exact_regime=True)
     p = require_p(config)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    d, d_bar, k, ell = config.d, config.d_bar, config.k, config.ell
-
-    n_runs = np.empty(trials, dtype=np.int64)
-    keys = stream_keys(seed, trials)
-    for lo in range(0, trials, _CHUNK):
-        hi = min(lo + _CHUNK, trials)
-        if ell == 1:
-            n_runs[lo:hi] = 1
-            continue
-        u = counter_uniforms(keys[lo:hi], ell - 1)
-        failures = (ell - 1) - (u < p).sum(axis=1)
-        n_runs[lo:hi] = 1 + failures
-
-    latency = d_bar * ell + (d - d_bar) * n_runs
-    compute = latency + k * (d - d_bar) * ell
+    ell = config.ell
+    # N = 1 + the misses among the ell-1 draws
+    n_runs = ell - counter_hits(stream_keys(seed, trials), ell - 1, p)
+    latency, compute = closed_form_totals(config.d, config.d_bar, config.k, ell, n_runs)
     mean_lat, se_lat = _mean_stderr(latency.astype(np.float64))
     mean_cmp, se_cmp = _mean_stderr(compute.astype(np.float64))
     mean_n, se_n = _mean_stderr(n_runs.astype(np.float64))

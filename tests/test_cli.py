@@ -87,12 +87,23 @@ def test_sweep_stdout_and_grid_flags(capsys) -> None:
     assert [ln.split(",")[1] for ln in lines[1:]] == ["0.0", "0.25", "0.5", "0.75", "1.0"]
 
 
-def test_sweep_empty_p_list_gives_header_only(capsys) -> None:
-    assert main(["sweep", "--d", "40", "--dbar", "20", "--l", "16",
-                 "--k-list", "1,3", "--p-list", ""]) == 0
-    assert capsys.readouterr().out.strip().split("\n") == [
-        "k,p_correct,latency_per_token_norm,compute_per_time_unit,compute_per_token"
-    ]
+def _assert_usage_error(argv: list[str], flag: str, capsys) -> None:
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: needs at least one" in captured.err
+
+
+def test_sweep_empty_list_flags_are_usage_errors(capsys) -> None:
+    # an empty grid is a usage error, not a header-only CSV
+    base = ["sweep", "--d", "40", "--dbar", "20", "--l", "16"]
+    for text in ("", ",", " , "):
+        _assert_usage_error(base + ["--k-list", "1,3", "--p-list", text], "--p-list", capsys)
+        _assert_usage_error(base + ["--k-list", text, "--p-list", "0.5"], "--k-list", capsys)
+        _assert_usage_error(base + ["--k-list", text, "--p-from", "0", "--p-to", "1"],
+                            "--k-list", capsys)
 
 
 def test_sweep_invalid_grid(capsys) -> None:
@@ -244,6 +255,13 @@ def test_verify_zero_instances_is_usage_error() -> None:
     with pytest.raises(SystemExit) as err:
         main(["verify", "--instances", "0"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--vocab-sizes", "--depths", "--k-values"])
+def test_verify_empty_list_flag_is_usage_error(flag: str, capsys) -> None:
+    # an empty list must not reach random_instance, where random.choice([]) raises
+    for text in ("", ","):
+        _assert_usage_error(["verify", "--instances", "2", flag, text], flag, capsys)
 
 
 def test_verify_defaults_to_thousand_instances() -> None:

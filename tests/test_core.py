@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from pipedec.core import (
@@ -10,6 +11,7 @@ from pipedec.core import (
     LatencyComputeReport,
     MatchSequence,
     RunDecomposition,
+    closed_form_totals,
     validate_config,
 )
 from pipedec.stochastic import decompose_runs, matches_from_runs
@@ -97,3 +99,14 @@ def test_report_from_totals_fills_invariants() -> None:
     assert report.avg_compute_per_token == pytest.approx(440 / 5)
     with pytest.raises(DomainError):
         LatencyComputeReport.from_totals(10, 10, 0)
+
+
+def test_closed_form_totals_int_and_array() -> None:
+    # d=40, d_bar=20, k=3, ell=5 in runs (3, 2): main 20*5 + 20*2, windows 3*20*5 more
+    assert closed_form_totals(40, 20, 3, 5, 2) == (140, 440)
+    n_runs = np.arange(1, 6, dtype=np.int64)
+    latency, compute = closed_form_totals(40, 20, 3, 5, n_runs)
+    assert latency.dtype == compute.dtype == np.int64
+    assert [(int(a), int(b)) for a, b in zip(latency, compute)] == [
+        closed_form_totals(40, 20, 3, 5, int(n)) for n in n_runs
+    ]

@@ -1,8 +1,18 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from pipedec.rng import Stream, counter_uniforms, mix64, mix64_np, stream_key, stream_keys
+from pipedec.rng import (
+    _BLOCK_WORDS,
+    Stream,
+    counter_hits,
+    counter_uniforms,
+    mix64,
+    mix64_np,
+    stream_key,
+    stream_keys,
+)
 
 
 def test_scalar_and_vector_mixers_agree() -> None:
@@ -48,3 +58,21 @@ def test_uniforms_look_uniform() -> None:
     u = Stream.from_seed(2024).uniforms(200_000)
     # mean of U(0,1): sigma = 1/sqrt(12n)
     assert abs(float(u.mean()) - 0.5) < 4 / np.sqrt(12 * 200_000)
+
+
+@pytest.mark.parametrize("n", [0, 1, 33, _BLOCK_WORDS + 1])
+def test_counter_hits_equals_float_reference(n: int) -> None:
+    # 2 blocks and one extra key, so the last block is partial
+    keys = stream_keys(99, 2 * max(1, _BLOCK_WORDS // max(n, 1)) + 1)
+    u = counter_uniforms(keys, n)
+    drawn = float(u.flat[u.size // 2]) if u.size else 0.5
+    # a drawn value and its neighbours test the strict < at the boundary
+    for p in (0.0, 1.0, 2.0 ** -1074, 0.5, 0.6837, drawn,
+              float(np.nextafter(drawn, 0.0)), float(np.nextafter(drawn, 1.0))):
+        hits = counter_hits(keys, n, p)
+        assert hits.dtype == np.int64
+        assert np.array_equal(hits, (u < p).sum(axis=1)), p
+    if u.size:
+        # the boundary is exercised: p = drawn excludes that draw, its upper neighbour counts it
+        above = counter_hits(keys, n, float(np.nextafter(drawn, 1.0))).sum()
+        assert above > counter_hits(keys, n, drawn).sum()

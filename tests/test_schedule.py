@@ -2,11 +2,20 @@ from __future__ import annotations
 
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pipedec.core import DecodingConfig, DomainError, MatchSequence, RunDecomposition
+from pipedec.core import (
+    DecodingConfig,
+    DomainError,
+    MatchSequence,
+    RunDecomposition,
+    closed_form_totals,
+)
 from pipedec.schedule import (
     EVENTS_CSV_HEADER,
     build_schedule,
@@ -45,6 +54,15 @@ def test_fixture_identities_hold() -> None:
     assert report.overlap_violations == 0
     assert report.main_idle_units == 0
     assert report.n_runs == 1
+
+
+def test_identities_flag_a_timeline_that_misses_the_closed_forms() -> None:
+    # the events of one run of 3 tokens, labelled as two runs ("TF"): both
+    # totals fall short of the closed forms by d - d_bar = 10
+    timeline = build_schedule(FIXTURE, FIXTURE_MATCHES)
+    report = verify_identities(replace(timeline, matches=MatchSequence.from_string("TF")))
+    assert (report.n_runs, report.latency_residual, report.compute_residual) == (2, -10, -10)
+    assert not report.ok
 
 
 def test_single_token_schedule() -> None:
@@ -193,3 +211,30 @@ def test_schedule_prices_realized_mock_decodes() -> None:
     assert timeline.makespan == res.main_layer_count
     occupancy = int(occupancy_profile(timeline).sum())
     assert occupancy == res.main_layer_count + res.spec_layer_count
+
+
+@st.composite
+def schedule_cases(draw) -> tuple[DecodingConfig, MatchSequence]:
+    d = draw(st.integers(1, 40))
+    ell = draw(st.integers(1, 64))
+    bits = draw(st.lists(st.booleans(), min_size=ell - 1, max_size=ell - 1))
+    cfg = DecodingConfig(d, draw(st.integers((d + 1) // 2, d)), draw(st.integers(0, 6)), ell)
+    return cfg, MatchSequence(tuple(bits))
+
+
+@settings(deadline=None)
+@example(case=(DecodingConfig(12, 12, 3, 9), MatchSequence.from_string("TFTTFFTT")))  # d_bar = d
+@example(case=(DecodingConfig(40, 20, 0, 6), MatchSequence.from_string("TTFTF")))    # k = 0
+@example(case=(DecodingConfig(9, 5, 4, 1), MatchSequence(())))                      # ell = 1
+@example(case=(DecodingConfig(1, 1, 2, 5), MatchSequence.from_string("FFFF")))      # depth 1
+@example(case=(DecodingConfig(7, 4, 2, 8), MatchSequence.from_string("TTTTTTT")))   # one run
+@given(case=schedule_cases())
+def test_schedule_identities_hold_over_the_domain(case) -> None:
+    cfg, matches = case
+    timeline = build_schedule(cfg, matches)
+    assert verify_identities(timeline).ok
+    latency, compute = closed_form_totals(
+        cfg.d, cfg.d_bar, cfg.k, cfg.ell, 1 + matches.bits.count(False)
+    )
+    assert timeline.makespan == latency
+    assert int(occupancy_profile(timeline).sum()) == compute

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from pipedec.core import DecodingConfig, DomainError, MatchSequence, RunDecomposition
-from pipedec.rng import Stream
+from pipedec.rng import _BLOCK_WORDS, Stream
 from pipedec.stochastic import (
+    MonteCarloSummary,
     cost_of_runs,
     decompose_runs,
     matches_from_runs,
@@ -160,3 +162,51 @@ def test_summary_serialization_echoes_config() -> None:
         "config", "trials", "seed", "mean_latency", "mean_compute", "mean_n_runs",
         "stderr_latency", "stderr_compute", "stderr_n_runs",
     }
+
+
+def _per_trial_summary(cfg: DecodingConfig, trials: int, seed: int,
+                       n_runs: np.ndarray) -> MonteCarloSummary:
+    # the summary of the first ``trials`` per-trial run counts, priced by hand
+    n_runs = n_runs[:trials]
+    latency = cfg.d_bar * cfg.ell + (cfg.d - cfg.d_bar) * n_runs
+    compute = latency + cfg.k * (cfg.d - cfg.d_bar) * cfg.ell
+    stats = []
+    for values in (latency, compute, n_runs):
+        values = values.astype(np.float64)
+        se = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        stats.append((float(values.mean()), se))
+    (ml, sl), (mc, sc), (mn, sn) = stats
+    return MonteCarloSummary(cfg, trials, seed, ml, mc, mn, sl, sc, sn)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 257, _BLOCK_WORDS + 2])
+def test_monte_carlo_equals_per_trial_path_across_blocks(ell: int) -> None:
+    cfg = DecodingConfig(40, 24, 2, ell, 0.6837)
+    seed = 31
+    rows = max(1, _BLOCK_WORDS // max(1, ell - 1))  # keys per block of the kernel
+    counts = sorted({max(1, rows - 1), rows, rows + 1, 2 * rows + 1})
+    n_runs = np.array(
+        [1 + sample_match_sequence(Stream.from_seed(seed, i), cfg.p_correct, ell).bits.count(False)
+         for i in range(counts[-1])],
+        dtype=np.int64,
+    )
+    for trials in counts:
+        assert monte_carlo(cfg, trials, seed) == _per_trial_summary(cfg, trials, seed, n_runs)
+
+
+# sha256 of summary_to_json: seeded `simulate` output must stay byte-identical
+@pytest.mark.parametrize("cfg, trials, seed, digest", [
+    ((40, 20, 3, 256, 0.5), 20000, 3,
+     "0ca932f667988cb4a357fe7e1028c2929a0aaee72939f015a0fcb383bfaa34f4"),
+    ((40, 20, 3, 1, 0.3), 100, 9,
+     "cd0a88712c49d71870ff29df515ab6e84ec04d64727e0c13664436fc412c733d"),
+    ((48, 30, 2, 2, 0.6837), 40000, 1,
+     "6dad1c91248f800d88b47b53721b65772edcae3d8abb3ebb523a288442749c60"),
+    ((24, 24, 4, 129, 2.0 ** -1074), 2049, 5,
+     "2e859f56d75258483ba6965d8f7d4568579dac3bfbd4d162b492642e6fe455c9"),
+    ((40, 20, 3, 33000, 1 - 2.0 ** -53), 3, 8,
+     "8f3a97840d0cdcb91fe40642acd04f54bbbdf182a1cdac3ec57697b198bf2164"),
+], ids=["ell256", "ell1", "ell2", "p_subnormal", "ell33000"])
+def test_summary_json_bytes_are_pinned(cfg, trials, seed, digest) -> None:
+    text = summary_to_json(monte_carlo(DecodingConfig(*cfg), trials, seed))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
