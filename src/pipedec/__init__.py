@@ -10,8 +10,6 @@ from .core import (
     DomainError,
     LatencyComputeReport,
     MatchSequence,
-    RunDecomposition,
-    validate_config,
 )
 
 __all__ = [
@@ -19,8 +17,6 @@ __all__ = [
     "DomainError",
     "LatencyComputeReport",
     "MatchSequence",
-    "RunDecomposition",
-    "validate_config",
 ]
 
 __version__ = "0.1.0"

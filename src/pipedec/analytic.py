@@ -13,19 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .core import DecodingConfig, DomainError, require_p, validate_config
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p_correct must lie in [0, 1], got {p}")
-    return p
+from .core import DecodingConfig, DomainError, check_p, require_p
 
 
 def per_token_latency_halfdepth(p_correct: float, d: int) -> float:
     """Per-token latency d*(1 - p/2): half-depth early layer, ell >> 1."""
-    p = _check_p(p_correct)
+    p = check_p(p_correct)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     return d * (1.0 - p / 2.0)
@@ -33,7 +26,7 @@ def per_token_latency_halfdepth(p_correct: float, d: int) -> float:
 
 def avg_compute_per_time_unit_halfdepth(p_correct: float, k: int) -> float:
     """Average busy compute units per time unit, (k+2-p)/(2-p)."""
-    p = _check_p(p_correct)
+    p = check_p(p_correct)
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     return (k + 2.0 - p) / (2.0 - p)
@@ -45,7 +38,7 @@ def avg_compute_per_token_halfdepth(p_correct: float, k: int) -> float:
     Equals per_token_latency_halfdepth(p, 1) *
     avg_compute_per_time_unit_halfdepth(p, k) exactly.
     """
-    p = _check_p(p_correct)
+    p = check_p(p_correct)
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     return (2.0 + k - p) / 2.0
@@ -53,7 +46,6 @@ def avg_compute_per_token_halfdepth(p_correct: float, k: int) -> float:
 
 def expected_latency(config: DecodingConfig) -> float:
     """Exact expected time units to generate ell tokens: d*ell - (d-d_bar)*(ell-1)*p."""
-    validate_config(config, exact_regime=True)
     p = require_p(config)
     return config.d * config.ell - (config.d - config.d_bar) * (config.ell - 1) * p
 
@@ -83,13 +75,13 @@ def tradeoff_sweep(
 ) -> list[TradeoffRow]:
     """Evaluate the half-depth trade-off metrics over a (k, p) grid.
 
-    Every (d, d_bar, k, ell, p) combination is validated up front (exact
-    regime included); any invalid combination aborts the whole sweep.
+    A config is built for every (d, d_bar, k, ell, p) combination up
+    front, so any invalid combination aborts the whole sweep.
     Rows are ordered by k, then by p in the given order.
     """
     for k in k_values:
         for p in p_values:
-            validate_config(DecodingConfig(d, d_bar, k, ell, p), exact_regime=True)
+            DecodingConfig(d, d_bar, k, ell, p)
     rows = []
     for k in k_values:
         for p in p_values:

@@ -28,6 +28,10 @@ def _int_list(text: str) -> list[int]:
     return _nonempty([int(x) for x in text.split(",") if x.strip()])
 
 
+def _positive_int_list(text: str) -> list[int]:
+    return _nonempty([_positive_int(x) for x in text.split(",") if x.strip()])
+
+
 def _float_list(text: str) -> list[float]:
     return _nonempty([float(x) for x in text.split(",") if x.strip()])
 
@@ -290,10 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--instances", type=_positive_int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--max-ell", type=_positive_int, default=32, dest="max_ell")
-    p_verify.add_argument("--vocab-sizes", type=_int_list, default=[4, 16, 64],
+    p_verify.add_argument("--vocab-sizes", type=_positive_int_list, default=[4, 16, 64],
                           dest="vocab_sizes")
-    p_verify.add_argument("--depths", type=_int_list, default=[8, 40], dest="depths")
-    p_verify.add_argument("--k-values", type=_int_list, default=[1, 3, 5], dest="k_values")
+    p_verify.add_argument("--depths", type=_positive_int_list, default=[8, 40], dest="depths")
+    p_verify.add_argument("--k-values", type=_positive_int_list, default=[1, 3, 5],
+                          dest="k_values")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

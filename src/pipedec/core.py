@@ -14,12 +14,23 @@ class DomainError(ValueError):
     """A value violates one of the model's domain constraints."""
 
 
+def check_p(p: float) -> float:
+    """Return ``p`` as a float, rejecting values outside [0, 1] (NaN included)."""
+    value = float(p)
+    if not (0.0 <= value <= 1.0):
+        raise DomainError(f"p_correct must lie in [0, 1], got {p}")
+    return value
+
+
 @dataclass(frozen=True)
 class DecodingConfig:
     """Parameters of one pipelined-decoding setup.
 
     The time unit throughout the package is the cost of one layer's
     forward computation, so a full forward pass costs ``d`` time units.
+    Construction checks every invariant, the exact regime 2*d_bar >= d
+    included, and raises DomainError naming the first one violated; a
+    config that exists is valid.
     """
 
     d: int                            # total layer count
@@ -30,38 +41,22 @@ class DecodingConfig:
 
     def __post_init__(self) -> None:
         if self.p_correct is not None:
-            p = float(self.p_correct)
-            if not (0.0 <= p <= 1.0):
-                raise DomainError(f"p_correct must lie in [0, 1], got {self.p_correct}")
-            object.__setattr__(self, "p_correct", p)
-
-
-def validate_config(config: DecodingConfig, exact_regime: bool = False) -> DecodingConfig:
-    """Check every config invariant and return the config unchanged.
-
-    With ``exact_regime`` the early layer must additionally sit at or past
-    the midpoint of the network (2*d_bar >= d, integer comparison), which
-    is the regime in which the exact latency/compute accounting holds.
-
-    Raises DomainError naming the violated constraint.
-    """
-    if config.d < 1:
-        raise DomainError(f"d must be >= 1, got {config.d}")
-    if config.d_bar < 1:
-        raise DomainError(f"d_bar must be >= 1, got {config.d_bar}")
-    if config.d_bar > config.d:
-        raise DomainError(f"d_bar must be <= d, got d_bar={config.d_bar} > d={config.d}")
-    if config.ell < 1:
-        raise DomainError(f"ell must be >= 1, got {config.ell}")
-    if config.k < 0:
-        raise DomainError(f"k must be >= 0, got {config.k}")
-    if config.p_correct is not None and not (0.0 <= config.p_correct <= 1.0):
-        raise DomainError(f"p_correct must lie in [0, 1], got {config.p_correct}")
-    if exact_regime and 2 * config.d_bar < config.d:
-        raise DomainError(
-            f"exact accounting requires d_bar >= d/2, got d_bar={config.d_bar}, d={config.d}"
-        )
-    return config
+            object.__setattr__(self, "p_correct", check_p(self.p_correct))
+        if self.d < 1:
+            raise DomainError(f"d must be >= 1, got {self.d}")
+        if self.d_bar < 1:
+            raise DomainError(f"d_bar must be >= 1, got {self.d_bar}")
+        if self.d_bar > self.d:
+            raise DomainError(f"d_bar must be <= d, got d_bar={self.d_bar} > d={self.d}")
+        if self.ell < 1:
+            raise DomainError(f"ell must be >= 1, got {self.ell}")
+        if self.k < 0:
+            raise DomainError(f"k must be >= 0, got {self.k}")
+        # the exact latency/compute accounting needs the early layer at or past mid-depth
+        if 2 * self.d_bar < self.d:
+            raise DomainError(
+                f"exact accounting requires d_bar >= d/2, got d_bar={self.d_bar}, d={self.d}"
+            )
 
 
 def require_p(config: DecodingConfig) -> float:
@@ -100,6 +95,11 @@ class MatchSequence:
     def ell(self) -> int:
         return len(self.bits) + 1
 
+    @property
+    def n_runs(self) -> int:
+        """N: the number of maximal matched streaks, one more than the misses."""
+        return 1 + self.bits.count(False)
+
     @classmethod
     def from_string(cls, text: str) -> "MatchSequence":
         """Parse a compact 'TTFT...' form (case-insensitive, 1/0 accepted)."""
@@ -115,33 +115,6 @@ class MatchSequence:
 
     def to_string(self) -> str:
         return "".join("T" if b else "F" for b in self.bits)
-
-
-@dataclass(frozen=True)
-class RunDecomposition:
-    """Lengths of the maximal streaks of consecutively matched tokens.
-
-    The number of runs is one more than the number of failed matches in
-    the source MatchSequence, and the lengths sum to ell.
-    """
-
-    run_lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        lengths = tuple(int(x) for x in self.run_lengths)
-        if not lengths:
-            raise DomainError("a run decomposition needs at least one run")
-        if any(x < 1 for x in lengths):
-            raise DomainError(f"every run length must be >= 1, got {lengths}")
-        object.__setattr__(self, "run_lengths", lengths)
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.run_lengths)
-
-    @property
-    def ell(self) -> int:
-        return sum(self.run_lengths)
 
 
 @dataclass(frozen=True)

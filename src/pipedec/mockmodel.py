@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, MatchSequence, closed_form_totals
+from .core import DecodingConfig, DomainError, MatchSequence, closed_form_totals
 from .rng import mix64, mix64_np, stream_key
 from .tracetable import TraceTable
 
@@ -195,12 +195,7 @@ def decode_ppd(
     run one after another on the calling thread.
     """
     d = model.depth
-    if ell < 1:
-        raise DomainError(f"ell must be >= 1, got {ell}")
-    if not (1 <= d_bar <= d):
-        raise DomainError(f"d_bar must lie in [1, depth], got d_bar={d_bar}, depth={d}")
-    if 2 * d_bar < d:
-        raise DomainError(f"exact pipelining requires d_bar >= d/2, got d_bar={d_bar}, d={d}")
+    DecodingConfig(d, d_bar, k, ell)  # the d_bar, exact-regime and ell rules
     if not (1 <= k <= model.vocab_size):
         raise DomainError(f"k must lie in [1, vocab_size], got k={k}, vocab={model.vocab_size}")
 
@@ -331,7 +326,7 @@ def exactness_counterexample(inst: PpdInstance) -> str | None:
     if seq.tokens != ppd.tokens:
         return f"token mismatch: sequential={seq.tokens} pipelined={ppd.tokens} on {inst}"
     ell_gen = len(ppd.tokens)
-    n_runs = 1 + sum(1 for b in ppd.match_trace.bits if not b)
+    n_runs = ppd.match_trace.n_runs
     expected_main, expected_total = closed_form_totals(
         inst.model.depth, inst.d_bar, inst.k, ell_gen, n_runs
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecodingConfig, DomainError, MatchSequence, closed_form_totals, validate_config
+from .core import DecodingConfig, DomainError, MatchSequence, closed_form_totals
 from . import svgout
 
 
@@ -52,14 +52,9 @@ class ScheduleTimeline:
     config: DecodingConfig
     matches: MatchSequence
 
-    @property
-    def n_runs(self) -> int:
-        return 1 + sum(1 for b in self.matches.bits if not b)
-
 
 def build_schedule(config: DecodingConfig, matches: MatchSequence) -> ScheduleTimeline:
     """Replay the decoding state machine into a deterministic timeline."""
-    validate_config(config, exact_regime=True)
     d, d_bar, k, ell = config.d, config.d_bar, config.k, config.ell
     if len(matches.bits) != ell - 1:
         raise DomainError(
@@ -130,7 +125,7 @@ class IdentityReport:
 def verify_identities(timeline: ScheduleTimeline) -> IdentityReport:
     """Check the timeline against the closed forms; failures are reported, never raised."""
     cfg = timeline.config
-    n = timeline.n_runs
+    n = timeline.matches.n_runs
     latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, n)
     occ = occupancy_profile(timeline)
 

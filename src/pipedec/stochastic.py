@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DecodingConfig,
-    DomainError,
-    LatencyComputeReport,
-    MatchSequence,
-    RunDecomposition,
-    closed_form_totals,
-    require_p,
-    validate_config,
-)
+from .core import DecodingConfig, DomainError, MatchSequence, check_p, closed_form_totals, require_p
 from .rng import Stream, counter_hits, stream_keys
 
 
@@ -39,52 +30,13 @@ def sample_match_sequence(stream: Stream | int, p_correct: float, ell: int) -> M
     ``stream`` is either a Stream or a bare seed (meaning stream 0 of
     that seed).  Identical stream and arguments give identical bits.
     """
-    p = float(p_correct)
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p_correct must lie in [0, 1], got {p_correct}")
+    p = check_p(p_correct)
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
     if isinstance(stream, int):
         stream = Stream.from_seed(stream)
     u = stream.uniforms(ell - 1)
     return MatchSequence(tuple(bool(b) for b in (u < p)))
-
-
-def decompose_runs(matches: MatchSequence) -> RunDecomposition:
-    """Split a match sequence into maximal matched streaks, left to right."""
-    lengths = [1]
-    for bit in matches.bits:
-        if bit:
-            lengths[-1] += 1
-        else:
-            lengths.append(1)
-    return RunDecomposition(tuple(lengths))
-
-
-def matches_from_runs(runs: RunDecomposition) -> MatchSequence:
-    """Inverse of decompose_runs: rebuild the unique generating match bits."""
-    bits: list[bool] = []
-    for i, x in enumerate(runs.run_lengths):
-        bits.extend([True] * (x - 1))
-        if i < runs.n_runs - 1:
-            bits.append(False)
-    return MatchSequence(tuple(bits))
-
-
-def cost_of_runs(config: DecodingConfig, runs: RunDecomposition) -> LatencyComputeReport:
-    """Exact latency and compute totals realized by a given run decomposition.
-
-    They depend only on ell and the run count N (``closed_form_totals``).
-    """
-    validate_config(config, exact_regime=True)
-    if runs.ell != config.ell:
-        raise DomainError(
-            f"run lengths sum to {runs.ell} but the config generates {config.ell} tokens"
-        )
-    total_latency, total_compute = closed_form_totals(
-        config.d, config.d_bar, config.k, config.ell, runs.n_runs
-    )
-    return LatencyComputeReport.from_totals(total_latency, total_compute, config.ell)
 
 
 @dataclass(frozen=True)
@@ -118,7 +70,6 @@ def monte_carlo(config: DecodingConfig, trials: int, seed: int) -> MonteCarloSum
     ``closed_form_totals``, so the summary is reproducible bit for bit for
     a given seed.
     """
-    validate_config(config, exact_regime=True)
     p = require_p(config)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")

@@ -25,7 +25,7 @@ from .analytic import (
     expected_total_compute,
     per_token_latency_halfdepth,
 )
-from .core import DecodingConfig, DomainError, LatencyComputeReport, validate_config
+from .core import DecodingConfig, DomainError, LatencyComputeReport, check_p
 from .rng import Stream
 from .tracetable import (  # noqa: F401  (re-exported: the trace API is one import)
     DuplicateIdError,
@@ -149,12 +149,8 @@ def forecast_from_trace(
 ) -> TraceForecast:
     """Plug the estimated match rate into the closed-form trade-off formulas."""
     rate = match_rate(records, k)
-
-    def cfg(p: float) -> DecodingConfig:
-        return validate_config(DecodingConfig(d, d_bar, k, ell, p), exact_regime=True)
-
-    at_hat = cfg(rate.p_hat)
     lo_p, hi_p = rate.ci95
+    at_hat, at_lo, at_hi = (DecodingConfig(d, d_bar, k, ell, p) for p in (rate.p_hat, lo_p, hi_p))
     return TraceForecast(
         k=k,
         p_hat=rate.p_hat,
@@ -162,8 +158,8 @@ def forecast_from_trace(
         report=LatencyComputeReport.from_totals(
             expected_latency(at_hat), expected_total_compute(at_hat), ell
         ),
-        latency_range=(expected_latency(cfg(hi_p)), expected_latency(cfg(lo_p))),
-        compute_range=(expected_total_compute(cfg(hi_p)), expected_total_compute(cfg(lo_p))),
+        latency_range=(expected_latency(at_hi), expected_latency(at_lo)),
+        compute_range=(expected_total_compute(at_hi), expected_total_compute(at_lo)),
         latency_per_token_norm=per_token_latency_halfdepth(rate.p_hat, d) / d,
         compute_per_time_unit=avg_compute_per_time_unit_halfdepth(rate.p_hat, k),
         compute_per_token=avg_compute_per_token_halfdepth(rate.p_hat, k),
@@ -211,8 +207,7 @@ def planted_trace(
     stream 1, so the planted outcome sequence depends only on the seed.
     Useful for calibration tests and as CLI demo input.
     """
-    if not (0.0 <= p_correct <= 1.0):
-        raise DomainError(f"p_correct must lie in [0, 1], got {p_correct}")
+    p_correct = check_p(p_correct)
     if k < 1 or k + 1 > vocab:
         raise DomainError(f"need 1 <= k < vocab, got k={k}, vocab={vocab}")
     if positions_per_example < 1:

@@ -12,9 +12,9 @@ import time
 import pytest
 
 from pipedec import analytic, mockmodel, trace
-from pipedec.core import DecodingConfig, MatchSequence
+from pipedec.core import DecodingConfig, MatchSequence, closed_form_totals
 from pipedec.schedule import build_schedule, occupancy_profile, verify_identities
-from pipedec.stochastic import cost_of_runs, decompose_runs, monte_carlo
+from pipedec.stochastic import monte_carlo
 
 
 def _line(ok: bool, number: int, message: str) -> None:
@@ -82,12 +82,12 @@ def test_criterion_3_schedule_formula_identity() -> None:
         cfg = DecodingConfig(d, d_bar, k, ell)
         matches = MatchSequence(tuple(rr.random() < rr.random() for _ in range(ell - 1)))
         report = verify_identities(build_schedule(cfg, matches))
-        cost = cost_of_runs(cfg, decompose_runs(matches))
+        latency, compute = closed_form_totals(d, d_bar, k, ell, matches.n_runs)
         if not report.ok:
             bad += 1
-        elif report.makespan != cost.total_latency:
+        elif report.makespan != latency:
             bad += 1
-        elif report.occupancy_total != cost.total_compute:
+        elif report.occupancy_total != compute:
             bad += 1
     ok = fixture_ok and bad == 0
     _line(ok, 3, f"1000 random schedules: {1000 - bad} exact; fixture makespan/occupancy "

@@ -273,3 +273,67 @@ def test_verify_defaults_to_thousand_instances() -> None:
     assert args.depths == [8, 40]
     assert args.k_values == [1, 3, 5]
     assert args.max_ell == 32
+
+
+_SHALLOW = "exact accounting requires d_bar >= d/2, got d_bar=10, d=40"
+_CFG = ["--d", "40", "--dbar", "20", "--k", "3"]
+
+
+def _verify_error(flag: str, value: int) -> str:
+    return f"pipedec verify: error: argument {flag}: must be >= 1, got {value}"
+
+
+# argv, the one stderr line that names the fault; the config-rule messages
+# are the ones the CLI printed before the rules moved into DecodingConfig
+MALFORMED = [
+    (["analyze", "--d", "40", "--dbar", "10", "--k", "3", "--l", "8", "--p", "0.5"],
+     "error: " + _SHALLOW),
+    (["simulate", "--d", "40", "--dbar", "10", "--k", "3", "--l", "8", "--p", "0.5"],
+     "error: " + _SHALLOW),
+    (["schedule", "--d", "40", "--dbar", "10", "--k", "3", "--l", "3", "--matches", "TT"],
+     "error: " + _SHALLOW),
+    (["sweep", "--d", "40", "--dbar", "10", "--l", "8", "--k-list", "1", "--p-list", "0.5"],
+     "error: " + _SHALLOW),
+    (["analyze", "--d", "0", "--dbar", "20", "--k", "3", "--l", "8", "--p", "0.5"],
+     "error: d must be >= 1, got 0"),
+    (["analyze", "--d", "40", "--dbar", "0", "--k", "3", "--l", "8", "--p", "0.5"],
+     "error: d_bar must be >= 1, got 0"),
+    (["analyze", "--d", "40", "--dbar", "41", "--k", "3", "--l", "8", "--p", "0.5"],
+     "error: d_bar must be <= d, got d_bar=41 > d=40"),
+    (["analyze", *_CFG, "--l", "0", "--p", "0.5"], "error: ell must be >= 1, got 0"),
+    (["simulate", *_CFG, "--l", "0", "--p", "0.5"], "error: ell must be >= 1, got 0"),
+    (["schedule", *_CFG, "--l", "0", "--p", "0.5"], "error: ell must be >= 1, got 0"),
+    (["sweep", "--d", "40", "--dbar", "20", "--l", "0", "--k-list", "1", "--p-list", "0.5"],
+     "error: ell must be >= 1, got 0"),
+    (["analyze", "--d", "40", "--dbar", "20", "--k", "-1", "--l", "8", "--p", "0.5"],
+     "error: k must be >= 0, got -1"),
+    (["schedule", "--d", "40", "--dbar", "20", "--k", "-1", "--l", "3", "--matches", "TT"],
+     "error: k must be >= 0, got -1"),
+    (["sweep", "--d", "40", "--dbar", "20", "--l", "8", "--k-list", "-1", "--p-list", "0.5"],
+     "error: k must be >= 0, got -1"),
+    (["analyze", *_CFG, "--l", "8", "--p", "1.5"], "error: p_correct must lie in [0, 1], got 1.5"),
+    (["simulate", *_CFG, "--l", "8", "--p", "1.5"], "error: p_correct must lie in [0, 1], got 1.5"),
+    (["schedule", *_CFG, "--l", "8", "--p", "1.5"], "error: p_correct must lie in [0, 1], got 1.5"),
+    (["sweep", "--d", "40", "--dbar", "20", "--l", "8", "--k-list", "1", "--p-list", "1.5"],
+     "error: p_correct must lie in [0, 1], got 1.5"),
+    (["schedule", *_CFG, "--l", "3", "--matches", "TTX"],
+     "error: match string may only contain T/F/1/0, got 'X'"),
+    (["verify", "--depths=-3", "--instances", "2"], _verify_error("--depths", -3)),
+    (["verify", "--vocab-sizes=-4", "--instances", "2"], _verify_error("--vocab-sizes", -4)),
+    (["verify", "--k-values=0", "--instances", "2"], _verify_error("--k-values", 0)),
+    (["verify", "--k-values=1,0,3", "--instances", "2"], _verify_error("--k-values", 0)),
+]
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED, ids=[" ".join(a) for a, _ in MALFORMED])
+def test_malformed_flags_are_one_line_usage_errors(argv: list[str], message: str,
+                                                   capsys) -> None:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value before main's handler runs
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [message]

@@ -13,7 +13,6 @@ from pipedec.core import (
     DecodingConfig,
     DomainError,
     MatchSequence,
-    RunDecomposition,
     closed_form_totals,
 )
 from pipedec.schedule import (
@@ -26,7 +25,6 @@ from pipedec.schedule import (
     text_gantt,
     verify_identities,
 )
-from pipedec.stochastic import cost_of_runs, decompose_runs
 
 FIXTURE = DecodingConfig(d=40, d_bar=30, k=3, ell=3)
 FIXTURE_MATCHES = MatchSequence.from_string("TT")
@@ -77,11 +75,12 @@ def test_single_token_schedule() -> None:
 
 def test_makespan_equals_run_cost_fixture() -> None:
     cfg = DecodingConfig(d=40, d_bar=20, k=3, ell=5)
-    timeline = build_schedule(cfg, MatchSequence.from_string("TTFT"))
+    matches = MatchSequence.from_string("TTFT")  # runs of 3 and 2 tokens
+    timeline = build_schedule(cfg, matches)
     assert timeline.makespan == 140
-    report = cost_of_runs(cfg, RunDecomposition((3, 2)))
-    assert timeline.makespan == report.total_latency
-    assert int(occupancy_profile(timeline).sum()) == report.total_compute
+    latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, matches.n_runs)
+    assert timeline.makespan == latency
+    assert int(occupancy_profile(timeline).sum()) == compute
 
 
 def test_k_zero_occupancy_is_flat() -> None:
@@ -122,9 +121,9 @@ def test_random_schedules_reproduce_run_cost_exactly() -> None:
         timeline = build_schedule(cfg, matches)
         report = verify_identities(timeline)
         assert report.ok, report
-        cost = cost_of_runs(cfg, decompose_runs(matches))
-        assert timeline.makespan == cost.total_latency
-        assert report.occupancy_total == cost.total_compute
+        latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, matches.n_runs)
+        assert timeline.makespan == latency
+        assert report.occupancy_total == compute
 
 
 def test_resume_waits_for_producing_sub_process() -> None:
@@ -233,8 +232,6 @@ def test_schedule_identities_hold_over_the_domain(case) -> None:
     cfg, matches = case
     timeline = build_schedule(cfg, matches)
     assert verify_identities(timeline).ok
-    latency, compute = closed_form_totals(
-        cfg.d, cfg.d_bar, cfg.k, cfg.ell, 1 + matches.bits.count(False)
-    )
+    latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, matches.n_runs)
     assert timeline.makespan == latency
     assert int(occupancy_profile(timeline).sum()) == compute

@@ -7,13 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from pipedec.core import DecodingConfig, DomainError, MatchSequence, RunDecomposition
+from pipedec.core import (
+    DecodingConfig,
+    DomainError,
+    LatencyComputeReport,
+    MatchSequence,
+    closed_form_totals,
+)
 from pipedec.rng import _BLOCK_WORDS, Stream
 from pipedec.stochastic import (
     MonteCarloSummary,
-    cost_of_runs,
-    decompose_runs,
-    matches_from_runs,
     monte_carlo,
     sample_match_sequence,
     summary_to_json,
@@ -45,36 +48,49 @@ def test_sample_hits_target_fraction() -> None:
     assert abs(frac - 0.5) < 0.002  # 3 sigma binomial bound is ~0.0015
 
 
+def _run_lengths(matches: MatchSequence) -> list[int]:
+    """Lengths of the maximal matched streaks, read off the miss positions."""
+    misses = [i for i, bit in enumerate(matches.bits) if not bit]
+    bounds = [-1] + misses + [len(matches.bits)]
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
 def test_decompose_examples() -> None:
-    assert decompose_runs(MatchSequence.from_string("TTFT")).run_lengths == (3, 2)
-    assert decompose_runs(MatchSequence(())).run_lengths == (1,)
-    assert decompose_runs(MatchSequence.from_string("FFF")).run_lengths == (1, 1, 1, 1)
+    examples = (("TTFT", [3, 2]), ("", [1]), ("TTTT", [5]), ("FFF", [1, 1, 1, 1]))
+    for text, lengths in examples:
+        matches = MatchSequence.from_string(text)
+        assert _run_lengths(matches) == lengths
+        assert matches.n_runs == len(lengths)
+
+
+def _cost_report(cfg: DecodingConfig, text: str) -> LatencyComputeReport:
+    """Price a match sequence given in 'TTFT' form with the closed forms."""
+    matches = MatchSequence.from_string(text)
+    assert matches.ell == cfg.ell
+    latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, matches.n_runs)
+    return LatencyComputeReport.from_totals(latency, compute, cfg.ell)
 
 
 def test_cost_of_runs_hand_checked() -> None:
     cfg = DecodingConfig(40, 20, 3, 5)
-    report = cost_of_runs(cfg, RunDecomposition((3, 2)))
+    report = _cost_report(cfg, "TTFT")  # runs of 3 and 2 tokens
     assert report.total_latency == 140
     assert report.total_compute == 440
     assert report.per_token_latency == pytest.approx(28.0)
     assert report.avg_compute_per_time_unit == pytest.approx(440 / 140)
 
-    single = cost_of_runs(cfg, RunDecomposition((5,)))
+    single = _cost_report(cfg, "TTTT")  # one run of 5 tokens
     assert single.total_latency == 120
     assert single.total_compute == 420
 
 
 def test_cost_of_runs_full_depth_collapses_to_sequential() -> None:
     cfg = DecodingConfig(24, 24, 4, 7)
-    for runs in (RunDecomposition((7,)), RunDecomposition((1,) * 7), RunDecomposition((3, 4))):
-        report = cost_of_runs(cfg, runs)
+    # runs (7,), (1,) * 7 and (3, 4)
+    for text in ("TTTTTT", "FFFFFF", "TTFTTT"):
+        report = _cost_report(cfg, text)
         assert report.total_latency == 24 * 7
         assert report.total_compute == 24 * 7
-
-
-def test_cost_of_runs_rejects_wrong_token_count() -> None:
-    with pytest.raises(DomainError):
-        cost_of_runs(DecodingConfig(40, 20, 3, 5), RunDecomposition((3, 3)))
 
 
 def test_monte_carlo_degenerate_cases() -> None:
@@ -105,7 +121,7 @@ def test_monte_carlo_converges_to_closed_forms() -> None:
 
 
 def test_monte_carlo_matches_explicit_per_trial_path() -> None:
-    # the vectorized driver must equal sample -> decompose -> cost per trial
+    # the vectorized driver must equal sample -> count runs -> price per trial
     cfg = DecodingConfig(48, 30, 2, 33, 0.65)
     trials, seed = 400, 77
     summary = monte_carlo(cfg, trials, seed)
@@ -114,13 +130,12 @@ def test_monte_carlo_matches_explicit_per_trial_path() -> None:
     n_runs = []
     for i in range(trials):
         matches = sample_match_sequence(Stream.from_seed(seed, i), cfg.p_correct, cfg.ell)
-        runs = decompose_runs(matches)
-        report = cost_of_runs(cfg, runs)
-        latencies.append(report.total_latency)
-        computes.append(report.total_compute)
-        n_runs.append(runs.n_runs)
+        latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, matches.n_runs)
+        latencies.append(latency)
+        computes.append(compute)
+        n_runs.append(matches.n_runs)
         # compute - latency = k (d - d_bar) ell holds in every trial, not just on average
-        assert report.total_compute - report.total_latency == cfg.k * (cfg.d - cfg.d_bar) * cfg.ell
+        assert compute - latency == cfg.k * (cfg.d - cfg.d_bar) * cfg.ell
     assert summary.mean_latency == pytest.approx(np.mean(latencies), rel=1e-12)
     assert summary.mean_compute == pytest.approx(np.mean(computes), rel=1e-12)
     assert summary.mean_n_runs == pytest.approx(np.mean(n_runs), rel=1e-12)
@@ -136,17 +151,11 @@ def test_interior_run_lengths_are_geometric() -> None:
     pooled: list[int] = []
     for i in range(100):
         matches = sample_match_sequence(Stream.from_seed(5, i), p, 4096)
-        pooled.extend(decompose_runs(matches).run_lengths[:-1])
+        pooled.extend(_run_lengths(matches)[:-1])
     pooled_arr = np.asarray(pooled, dtype=np.float64)
     mean = pooled_arr.mean()
     stderr = pooled_arr.std(ddof=1) / math.sqrt(len(pooled))
     assert abs(mean - 1 / (1 - p)) <= 4 * stderr
-
-
-def test_matches_from_runs_is_inverse() -> None:
-    for i in range(50):
-        matches = sample_match_sequence(Stream.from_seed(11, i), 0.6, 40)
-        assert matches_from_runs(decompose_runs(matches)) == matches
 
 
 def test_summary_serialization_echoes_config() -> None:
