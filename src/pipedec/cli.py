@@ -172,12 +172,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     cfg = _merged_config(args, required=("d", "dbar", "k", "l"))
     ell = cfg["l"]
     if args.matches is not None:
+        # the config's own rules (ell >= 1 among them) come before the bit count
+        config = DecodingConfig(cfg["d"], cfg["dbar"], cfg["k"], ell)
         matches = MatchSequence.from_string(args.matches)
         if len(matches.bits) != ell - 1:
             raise DomainError(
                 f"--matches must have l-1 = {ell - 1} bits, got {len(matches.bits)}"
             )
-        config = DecodingConfig(cfg["d"], cfg["dbar"], cfg["k"], ell)
     else:
         if cfg.get("p") is None:
             raise DomainError("give --matches or --p (with --seed) to define the match bits")

@@ -19,35 +19,36 @@ Match verification and the hidden-state handoff are zero-cost
 instantaneous events; only layers are priced.  The resulting makespan
 and occupancy totals reproduce, from first principles, the same
 closed forms of ``core.closed_form_totals``.
+
+``ScheduleTimeline.events`` is one numpy record array, a row per event
+in the order the state machine emits them (token by token: the main
+pass to d_bar, the main window, then sub-processes 1..k).  Its fields:
+
+* ``process_id``: 0 = main process, 1..k = sub-processes;
+* ``token_index``: which output token's forward pass (1-based);
+* ``layer_start``, ``layer_end``: inclusive layers within [1, d];
+* ``t_start``, ``t_end``: the half-open time interval, with
+  ``t_end - t_start == layer_end - layer_start + 1``;
+* ``discarded``: True when the speculative work is never consumed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import DecodingConfig, DomainError, MatchSequence, closed_form_totals
 from . import svgout
 
-
-@dataclass(frozen=True)
-class ScheduleEvent:
-    """One contiguous layer range computed by one process."""
-
-    process_id: int    # 0 = main process, 1..k = sub-processes
-    token_index: int   # which output token's forward pass (1-based)
-    layer_start: int   # inclusive, within [1, d]
-    layer_end: int     # inclusive; t_end - t_start == layer_end - layer_start + 1
-    t_start: int       # half-open time interval [t_start, t_end)
-    t_end: int
-    discarded: bool = False  # True when the speculative work is never consumed
+# the fields of ScheduleTimeline.events, in order; also the CSV header
+EVENTS_CSV_HEADER = "process_id,token_index,layer_start,layer_end,t_start,t_end,discarded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleTimeline:
-    events: tuple[ScheduleEvent, ...]
+    events: np.recarray  # fields EVENTS_CSV_HEADER, one row per event
     makespan: int
     config: DecodingConfig
     matches: MatchSequence
@@ -62,42 +63,44 @@ def build_schedule(config: DecodingConfig, matches: MatchSequence) -> ScheduleTi
         )
 
     window = d - d_bar
-    events: list[ScheduleEvent] = []
-    t = 0
-    resumed = False
-    for token in range(1, ell + 1):
-        if not resumed:
-            # fresh run start: the whole lower half is computed from layer 1
-            events.append(ScheduleEvent(0, token, 1, d_bar, t, t + d_bar))
-            t += d_bar
-        else:
-            # resume from the handed-off layer-(d-d_bar) state
-            pre = 2 * d_bar - d
-            if pre > 0:
-                events.append(ScheduleEvent(0, token, d - d_bar + 1, d_bar, t, t + pre))
-                t += pre
-        matched_next = token < ell and matches.bits[token - 1]
-        if window > 0:
-            # speculation window: main finishes while subs precompute token+1
-            events.append(ScheduleEvent(0, token, d_bar + 1, d, t, t + window))
-            for pid in range(1, k + 1):
-                events.append(
-                    ScheduleEvent(
-                        pid, token + 1, 1, window, t, t + window,
-                        discarded=not matched_next,
-                    )
-                )
-            t += window
-        resumed = matched_next
-    return ScheduleTimeline(tuple(events), t, config, matches)
+    bits = np.fromiter(matches.bits, dtype=bool, count=ell - 1)
+    resumed, matched_next = np.insert(bits, 0, False), np.append(bits, False)
+    # a fresh run computes layers 1..d_bar; a resume starts from the
+    # handed-off layer-(d-d_bar) state, so 2*d_bar-d layers (maybe none)
+    pre = np.where(resumed, 2 * d_bar - d, d_bar)
+    end = np.cumsum(pre + window)  # each token's end time
+    mid = end - window             # the start of its speculation window
+    token = np.arange(1, ell + 1)
+
+    # one (ell, 2+k) grid per field: column 0 is the main pass to d_bar,
+    # column 1 the main window, columns 2.. the k sub-processes, which
+    # precompute token+1 while the main process finishes token
+    keep = np.empty((ell, 2 + k), dtype=bool)
+    keep[:, 0], keep[:, 1:] = pre > 0, window > 0
+
+    def field(pre_pass, main_window, sub_windows) -> np.ndarray:
+        grid = np.empty((ell, 2 + k), dtype=np.int64)
+        grid[:, 0], grid[:, 1], grid[:, 2:] = pre_pass, main_window, sub_windows
+        return grid[keep]  # row-major: the emission order
+
+    events = np.rec.fromarrays([
+        field(0, 0, np.arange(1, k + 1)),
+        field(token, token, token[:, None] + 1),
+        field(np.where(resumed, d - d_bar + 1, 1), d_bar + 1, 1),
+        field(d_bar, d, window),
+        field(mid - pre, mid, mid[:, None]),
+        field(mid, end, end[:, None]),
+        field(0, 0, ~matched_next[:, None]).astype(bool),
+    ], names=EVENTS_CSV_HEADER)
+    return ScheduleTimeline(events, int(end[-1]), config, matches)
 
 
 def occupancy_profile(timeline: ScheduleTimeline) -> np.ndarray:
     """Busy-process count per time unit; discarded events count as busy."""
-    occ = np.zeros(timeline.makespan, dtype=np.int64)
-    for e in timeline.events:
-        occ[e.t_start:e.t_end] += 1
-    return occ
+    events, span = timeline.events, timeline.makespan
+    starts = np.bincount(events.t_start, minlength=span + 1)
+    ends = np.bincount(events.t_end, minlength=span + 1)
+    return np.cumsum(starts - ends)[:span]
 
 
 @dataclass(frozen=True)
@@ -127,53 +130,43 @@ def verify_identities(timeline: ScheduleTimeline) -> IdentityReport:
     cfg = timeline.config
     n = timeline.matches.n_runs
     latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, n)
-    occ = occupancy_profile(timeline)
+    occupied = int(occupancy_profile(timeline).sum())
+    events = timeline.events
 
-    overlap = 0
-    by_process: dict[int, list[ScheduleEvent]] = {}
-    for e in timeline.events:
-        by_process.setdefault(e.process_id, []).append(e)
-    for evs in by_process.values():
-        evs = sorted(evs, key=lambda e: e.t_start)
-        for prev, nxt in zip(evs, evs[1:]):
-            if nxt.t_start < prev.t_end:
-                overlap += 1
+    # per process in start order, an event that starts before its
+    # predecessor ends overlaps it
+    order = np.lexsort((events.t_start, events.process_id))
+    pid, t_start, t_end = events.process_id[order], events.t_start[order], events.t_end[order]
+    overlap = int(np.count_nonzero((pid[1:] == pid[:-1]) & (t_start[1:] < t_end[:-1])))
 
-    main_busy = sum(e.t_end - e.t_start for e in timeline.events if e.process_id == 0)
+    main_busy = int(np.sum(events.t_end - events.t_start, where=events.process_id == 0))
     return IdentityReport(
         makespan=timeline.makespan,
-        occupancy_total=int(occ.sum()),
+        occupancy_total=occupied,
         n_runs=n,
         latency_residual=timeline.makespan - latency,
-        compute_residual=int(occ.sum()) - compute,
+        compute_residual=occupied - compute,
         overlap_violations=overlap,
         main_idle_units=timeline.makespan - main_busy,
     )
 
 
 def identity_report_to_json(report: IdentityReport) -> str:
-    payload = {
-        "makespan": report.makespan,
-        "occupancy_total": report.occupancy_total,
-        "n_runs": report.n_runs,
-        "latency_residual": report.latency_residual,
-        "compute_residual": report.compute_residual,
-        "overlap_violations": report.overlap_violations,
-        "main_idle_units": report.main_idle_units,
-        "ok": report.ok,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps({**asdict(report), "ok": report.ok}, indent=2) + "\n"
 
 
-EVENTS_CSV_HEADER = "process_id,token_index,layer_start,layer_end,t_start,t_end,discarded"
+def _columns(events: np.recarray, fields: str) -> zip:
+    """The named fields, row by row, as Python scalars."""
+    return zip(*(events[name].tolist() for name in fields.split(",")))
 
 
 def events_to_csv(timeline: ScheduleTimeline) -> str:
     lines = [EVENTS_CSV_HEADER]
-    for e in timeline.events:
+    rows = _columns(timeline.events, EVENTS_CSV_HEADER)
+    for pid, token, layer_start, layer_end, t_start, t_end, discarded in rows:
         lines.append(
-            f"{e.process_id},{e.token_index},{e.layer_start},{e.layer_end},"
-            f"{e.t_start},{e.t_end},{'true' if e.discarded else 'false'}"
+            f"{pid},{token},{layer_start},{layer_end},"
+            f"{t_start},{t_end},{'true' if discarded else 'false'}"
         )
     return "\n".join(lines) + "\n"
 
@@ -185,46 +178,50 @@ def text_gantt(timeline: ScheduleTimeline) -> str:
     """
     k = timeline.config.k
     span = timeline.makespan
-    rows = [["."] * span for _ in range(k + 1)]
-    for e in timeline.events:
-        ch = "x" if e.discarded else "#"
-        for t in range(e.t_start, e.t_end):
-            rows[e.process_id][t] = ch
-    ruler = "".join("|" if t % 10 == 0 else " " for t in range(span))
-    lines = [f"{'t':>4} {ruler}"]
+    rows = [bytearray(b"." * span) for _ in range(k + 1)]
+    bars = _columns(timeline.events, "process_id,t_start,t_end,discarded")
+    for pid, t_start, t_end, discarded in bars:
+        rows[pid][t_start:t_end] = (b"x" if discarded else b"#") * (t_end - t_start)
+    ruler = ("|" + " " * 9) * (span // 10 + 1)
+    lines = [f"{'t':>4} {ruler[:span]}"]
     for pid in range(k + 1):
-        lines.append(f"P{pid:<3} {''.join(rows[pid])}")
+        lines.append(f"P{pid:<3} {rows[pid].decode()}")
     lines.append(f"makespan {span}")
     return "\n".join(lines) + "\n"
 
 
-def svg_gantt(timeline: ScheduleTimeline, px_per_unit: int = 8, row_height: int = 20) -> str:
+PX_PER_UNIT = 8  # SVG width of one time unit
+ROW_HEIGHT = 20  # SVG height of one process row
+
+
+def svg_gantt(timeline: ScheduleTimeline) -> str:
     """Self-contained SVG rendering of the timeline."""
     k = timeline.config.k
     span = max(timeline.makespan, 1)
     left, top = 46, 28
-    width = left + span * px_per_unit + 12
-    height = top + (k + 1) * row_height + 34
+    width = left + span * PX_PER_UNIT + 12
+    height = top + (k + 1) * ROW_HEIGHT + 34
     body = [svgout.text(left, 16, f"makespan {timeline.makespan} time units", size=12)]
     for pid in range(k + 1):
-        y = top + pid * row_height
-        body.append(svgout.text(6, y + row_height - 6, f"P{pid}", size=11))
-    for e in timeline.events:
-        x = left + e.t_start * px_per_unit
-        y = top + e.process_id * row_height + 2
-        w = (e.t_end - e.t_start) * px_per_unit
-        if e.discarded:
+        y = top + pid * ROW_HEIGHT
+        body.append(svgout.text(6, y + ROW_HEIGHT - 6, f"P{pid}", size=11))
+    bars = _columns(timeline.events, "process_id,t_start,t_end,discarded")
+    for pid, t_start, t_end, discarded in bars:
+        x = left + t_start * PX_PER_UNIT
+        y = top + pid * ROW_HEIGHT + 2
+        w = (t_end - t_start) * PX_PER_UNIT
+        if discarded:
             fill = "#cc6677"
-        elif e.process_id == 0:
+        elif pid == 0:
             fill = "#4477aa"
         else:
             fill = "#66ccee"
-        body.append(svgout.rect(x, y, w, row_height - 4, fill, stroke="#ffffff"))
-    axis_y = top + (k + 1) * row_height + 6
-    body.append(svgout.line(left, axis_y, left + span * px_per_unit, axis_y))
+        body.append(svgout.rect(x, y, w, ROW_HEIGHT - 4, fill, stroke="#ffffff"))
+    axis_y = top + (k + 1) * ROW_HEIGHT + 6
+    body.append(svgout.line(left, axis_y, left + span * PX_PER_UNIT, axis_y))
     step = max(1, span // 10)
     for t in range(0, span + 1, step):
-        x = left + t * px_per_unit
+        x = left + t * PX_PER_UNIT
         body.append(svgout.line(x, axis_y, x, axis_y + 4))
         body.append(svgout.text(x - 4, axis_y + 16, str(t), size=10))
     return svgout.document(width, height, body)

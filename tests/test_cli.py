@@ -303,6 +303,7 @@ MALFORMED = [
     (["analyze", *_CFG, "--l", "0", "--p", "0.5"], "error: ell must be >= 1, got 0"),
     (["simulate", *_CFG, "--l", "0", "--p", "0.5"], "error: ell must be >= 1, got 0"),
     (["schedule", *_CFG, "--l", "0", "--p", "0.5"], "error: ell must be >= 1, got 0"),
+    (["schedule", *_CFG, "--l", "0", "--matches", "TT"], "error: ell must be >= 1, got 0"),
     (["sweep", "--d", "40", "--dbar", "20", "--l", "0", "--k-list", "1", "--p-list", "0.5"],
      "error: ell must be >= 1, got 0"),
     (["analyze", "--d", "40", "--dbar", "20", "--k", "-1", "--l", "8", "--p", "0.5"],

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from pipedec.schedule import (
     text_gantt,
     verify_identities,
 )
+from pipedec.stochastic import sample_match_sequence
 
 FIXTURE = DecodingConfig(d=40, d_bar=30, k=3, ell=3)
 FIXTURE_MATCHES = MatchSequence.from_string("TT")
@@ -60,6 +64,20 @@ def test_identities_flag_a_timeline_that_misses_the_closed_forms() -> None:
     timeline = build_schedule(FIXTURE, FIXTURE_MATCHES)
     report = verify_identities(replace(timeline, matches=MatchSequence.from_string("TF")))
     assert (report.n_runs, report.latency_residual, report.compute_residual) == (2, -10, -10)
+    assert not report.ok
+
+
+def test_identities_flag_overlapping_and_idle_events() -> None:
+    timeline = build_schedule(FIXTURE, FIXTURE_MATCHES)
+    events = timeline.events.copy()
+    # rows 5..9 are token 2: the main pass over layers 11..30 at t 40..60, the
+    # main window, then sub-process 1's window at t 60..70
+    assert events[5].tolist() == (0, 2, 11, 30, 40, 60, False)
+    assert events[7].tolist() == (1, 3, 1, 10, 60, 70, False)
+    events.t_start[7] = 35  # now starts inside sub-process 1's window at t 30..40
+    events = events[np.arange(len(events)) != 5]  # the main process idles at t 40..60
+    report = verify_identities(replace(timeline, events=events))
+    assert (report.overlap_violations, report.main_idle_units) == (1, 20)
     assert not report.ok
 
 
@@ -235,3 +253,101 @@ def test_schedule_identities_hold_over_the_domain(case) -> None:
     latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, matches.n_runs)
     assert timeline.makespan == latency
     assert int(occupancy_profile(timeline).sum()) == compute
+
+
+def _reference_events(cfg: DecodingConfig, matches: MatchSequence) -> tuple[list[tuple], int]:
+    """Slow reference: the per-token replay loop, one row tuple per event."""
+    d, d_bar, k, ell = cfg.d, cfg.d_bar, cfg.k, cfg.ell
+    window = d - d_bar
+    rows: list[tuple] = []
+    t = 0
+    resumed = False
+    for token in range(1, ell + 1):
+        if not resumed:
+            rows.append((0, token, 1, d_bar, t, t + d_bar, False))
+            t += d_bar
+        else:
+            pre = 2 * d_bar - d
+            if pre > 0:
+                rows.append((0, token, d - d_bar + 1, d_bar, t, t + pre, False))
+                t += pre
+        matched_next = token < ell and matches.bits[token - 1]
+        if window > 0:
+            rows.append((0, token, d_bar + 1, d, t, t + window, False))
+            for pid in range(1, k + 1):
+                rows.append((pid, token + 1, 1, window, t, t + window, not matched_next))
+            t += window
+        resumed = matched_next
+    return rows, t
+
+
+@settings(deadline=None)
+@example(case=(DecodingConfig(12, 12, 3, 9), MatchSequence.from_string("TFTTFFTT")))  # d_bar = d
+@example(case=(DecodingConfig(16, 8, 3, 6), MatchSequence.from_string("TTFTT")))     # pre = 0
+@example(case=(DecodingConfig(40, 30, 0, 6), MatchSequence.from_string("TTFTF")))    # k = 0
+@example(case=(DecodingConfig(9, 5, 4, 1), MatchSequence(())))                      # ell = 1
+@example(case=(DecodingConfig(7, 4, 2, 8), MatchSequence.from_string("TTTTTTT")))   # all T
+@example(case=(DecodingConfig(10, 6, 2, 6), MatchSequence.from_string("FFFFF")))    # all F
+@given(case=schedule_cases())
+def test_event_log_equals_the_replay_loop_row_for_row(case) -> None:
+    cfg, matches = case
+    timeline = build_schedule(cfg, matches)
+    rows, makespan = _reference_events(cfg, matches)
+    assert timeline.events.dtype.names == tuple(EVENTS_CSV_HEADER.split(","))
+    assert timeline.events.tolist() == rows
+    assert timeline.makespan == makespan == rows[-1][5]
+    assert type(timeline.makespan) is int
+
+
+# sha256 of identity_report_to_json, text_gantt, events_to_csv and svg_gantt,
+# taken from the per-event replay loop (`_reference_events`) these outputs were defined by
+PINNED = [
+    (FIXTURE, "TT", (
+        "e17ab35082a10a74f2cf99c44299a83b8fd6bf19f4bbffd2c5384fb083535bb3",
+        "0e7e22a5c0ecd5571f817d7a19b137096dda447d9d932c3fdc3f21f19a80fb38",
+        "5795328320f2bca9eb1b93c07b450665f8de1a18c506505a231ef0323a38f8dc",
+        "125282c67d973a282e97fd89c6e991551e91c303c42c3d7ddb94eb95a5f1b3dc")),
+    (DecodingConfig(16, 8, 3, 5), "FTFT", (
+        "0f7b4384aaed0bab6df1c3f2fe7b5463740da6c54922e00a88f65206f8a95386",
+        "9b2b645d3b2d6eedbb814d5e8efe31a45f839ee98bde5f38b1d1f5dcab28c713",
+        "89360b7525bc1568dfb3f9fa6fd031ac067bad6a8eb88554c348b551c0378dd7",
+        "9b9ff00ee93835d84f28a438a7f8280fd6aaa087fb0377a6ed0171881aad92ff")),
+    (DecodingConfig(12, 12, 3, 9), "TFTTFFTT", (
+        "9d9c37a4388da9565dbd9074d4698602ea27e05a9f3dc2f81879bb22f51756ca",
+        "a08b2b17c78e63f2e020939877700afd8a076351564516f60a917d6c4c09bbe1",
+        "9a83edc5ec934fe952a49eb2dab897c2730006d3cf9becf7fc28be5544b6e5dd",
+        "6266a34bfc06d2f8b591eeebcf9c538cbcd71cbea52b48bf04134dfa7eb30f44")),
+    (DecodingConfig(48, 30, 8, 4096), None, (  # bits from sample_match_sequence(5, 0.7, 4096)
+        "3b7b8cce4a2bab7320fa6b2a40df6742fcad0b204df7ad7f7dcb84c98594b272",
+        "369a2a98115e8f9cedab93eddfd80ff49ac2e4459bb9aa20220bc0f4f81163b3",
+        "ce8bac622bd790e1fc7a35bffa5e365dd1f9ee1e1267fac28acd6ebec9665563",
+        "50c7e6edbd7a4ca4f5b9cc90ca994e881eebeb096db7d463d0135d3d8d133bcf")),
+]
+
+
+@pytest.mark.parametrize("cfg, bits, digests", PINNED,
+                         ids=["fixture", "half_depth_FTFT", "full_depth", "ell4096"])
+def test_schedule_artifacts_are_pinned(cfg, bits, digests) -> None:
+    matches = (sample_match_sequence(5, 0.7, cfg.ell) if bits is None
+               else MatchSequence.from_string(bits))
+    timeline = build_schedule(cfg, matches)
+    artifacts = (identity_report_to_json(verify_identities(timeline)), text_gantt(timeline),
+                 events_to_csv(timeline), svg_gantt(timeline))
+    assert tuple(hashlib.sha256(a.encode("utf-8")).hexdigest() for a in artifacts) == digests
+
+
+def test_benchmark_schedule_counter_reads_the_event_log() -> None:
+    # perfbench's `--trace 1` hook reads rows by attribute; it lives outside
+    # the package, so load it by path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracing._count_schedule(tracer, {}, build_schedule(FIXTURE, FIXTURE_MATCHES))
+    # 3 tokens of 5 events: main pass, main window and k = 3 speculative
+    # windows; only the last token's 3 windows are discarded
+    assert dict(tracer.counts) == {
+        "schedule.timelines": 1, "schedule.events": 15, "schedule.makespan": 100,
+        "sub_events": 9, "sub_events_useful": 6,
+    }
