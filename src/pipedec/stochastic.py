@@ -24,17 +24,14 @@ from .core import DecodingConfig, DomainError, MatchSequence, check_p, closed_fo
 from .rng import Stream, counter_hits, stream_keys
 
 
-def sample_match_sequence(stream: Stream | int, p_correct: float, ell: int) -> MatchSequence:
+def sample_match_sequence(stream: Stream, p_correct: float, ell: int) -> MatchSequence:
     """Draw the ell-1 independent Bernoulli(p) match bits of one generation.
 
-    ``stream`` is either a Stream or a bare seed (meaning stream 0 of
-    that seed).  Identical stream and arguments give identical bits.
+    Identical stream and arguments give identical bits.
     """
     p = check_p(p_correct)
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
-    if isinstance(stream, int):
-        stream = Stream.from_seed(stream)
     u = stream.uniforms(ell - 1)
     return MatchSequence(tuple(bool(b) for b in (u < p)))
 

@@ -3,10 +3,9 @@
 ``match_rate`` estimates p_hat, the fraction of positions whose final
 token appears among the first k early candidates, with a Wilson score
 interval at the 95% level (z = 1.96; chosen over the normal
-approximation because it stays well-behaved near 0 and 1).  Records
-from different examples are pooled.  Every function takes a
-``TraceTable`` or any iterable of ``TraceRecord``s (see ``tracetable``,
-whose names are importable from here too).
+approximation because it stays well-behaved near 0 and 1).  Rows from
+different examples are pooled.  The estimators take a ``TraceTable``
+(see ``tracetable``, whose names are importable from here too).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -30,9 +28,7 @@ from .rng import Stream
 from .tracetable import (  # noqa: F401  (re-exported: the trace API is one import)
     DuplicateIdError,
     ParseError,
-    TraceRecord,
     TraceTable,
-    as_table,
     load_traces,
     save_traces,
 )
@@ -59,11 +55,12 @@ class MatchRateReport:
     buckets: tuple[BucketRow, ...] | None = None
 
 
-def wilson_interval(matches: int, total: int, z: float = WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(matches: int, total: int) -> tuple[float, float]:
+    """Wilson score interval at the 95% level for a binomial proportion."""
     if total < 1:
         raise DomainError("wilson_interval needs at least one observation")
     p_hat = matches / total
+    z = WILSON_Z95
     denom = 1.0 + z * z / total
     center = (p_hat + z * z / (2 * total)) / denom
     half = z * math.sqrt(p_hat * (1 - p_hat) / total + z * z / (4 * total * total)) / denom
@@ -82,9 +79,8 @@ def _hits(table: TraceTable, k: int) -> np.ndarray:
     return (table.topk[:, :k] == table.final[:, None]).any(axis=1)
 
 
-def match_rate(records: TraceTable | Iterable[TraceRecord], k: int) -> MatchRateReport:
+def match_rate(table: TraceTable, k: int) -> MatchRateReport:
     """Fraction of positions whose final token is among the first k candidates."""
-    table = as_table(records)
     matches = int(_hits(table, k).sum())
     total = len(table)
     return MatchRateReport(
@@ -96,16 +92,13 @@ def match_rate(records: TraceTable | Iterable[TraceRecord], k: int) -> MatchRate
     )
 
 
-def match_rate_by_bucket(
-    records: TraceTable | Iterable[TraceRecord], k: int, bucket_width: int
-) -> MatchRateReport:
+def match_rate_by_bucket(table: TraceTable, k: int, bucket_width: int) -> MatchRateReport:
     """Overall report plus per-position-bucket rates ([1..w], [w+1..2w], ...).
 
     Only buckets that hold a position get a row, in ascending order.
     """
     if bucket_width < 1:
         raise DomainError(f"bucket_width must be >= 1, got {bucket_width}")
-    table = as_table(records)
     overall = match_rate(table, k)
     # bincount over the occupied buckets only: positions may be sparse and large
     buckets, slot = np.unique((table.position - 1) // bucket_width, return_inverse=True)
@@ -144,11 +137,9 @@ class TraceForecast:
     compute_per_token: float
 
 
-def forecast_from_trace(
-    records: TraceTable | Iterable[TraceRecord], k: int, d: int, d_bar: int, ell: int
-) -> TraceForecast:
+def forecast_from_trace(table: TraceTable, k: int, d: int, d_bar: int, ell: int) -> TraceForecast:
     """Plug the estimated match rate into the closed-form trade-off formulas."""
-    rate = match_rate(records, k)
+    rate = match_rate(table, k)
     lo_p, hi_p = rate.ci95
     at_hat, at_lo, at_hi = (DecodingConfig(d, d_bar, k, ell, p) for p in (rate.p_hat, lo_p, hi_p))
     return TraceForecast(

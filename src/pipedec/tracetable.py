@@ -7,9 +7,8 @@ A trace is line-delimited JSON, one record per logged token position:
 
 In memory it is a ``TraceTable``, one numpy column per field, so that
 synthesis, I/O and estimation work on whole columns rather than on one
-object per line.  ``TraceRecord`` is its row type.  Field types are
-strict: a bool, float or numeric string where an integer belongs is an
-error, never coerced.
+object per line.  Field types are strict: a bool, float or numeric
+string where an integer belongs is an error, never coerced.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -54,38 +53,14 @@ class DuplicateIdError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace row, as yielded by iterating a ``TraceTable``."""
-
-    example_id: str
-    position: int               # 1-based token index within the example
-    early_topk: tuple[int, ...]  # ranked early candidates, no duplicates
-    final: int
-    layer: int | None = None    # optional early-prediction layer tag
-
-    def __post_init__(self) -> None:
-        early = tuple(self.early_topk)
-        object.__setattr__(self, "early_topk", early)
-        # the loader's rule: int64 ints only, so bools, floats and strings are errors
-        for name in ("position", "final", "layer"):
-            value = getattr(self, name)
-            if not (_is_int64(value) or name == "layer" and value is None):
-                raise DomainError(f"{name} must be an int64 integer, got {value!r}")
-        if not all(map(_is_int64, early)):
-            raise DomainError(f"early_topk must hold int64 token ids, got {early!r}")
-        if self.position < 1:
-            raise DomainError(f"position must be >= 1, got {self.position}")
-        if len(set(early)) != len(early):
-            raise DuplicateIdError(f"duplicate ids in early_topk: {early}")
-
-
 def _column(values, name: str) -> np.ndarray:
     """A read-only int64 (bool for ``layer_absent``) copy; other element kinds are rejected."""
     dtype, kinds = (bool, "b") if name == "layer_absent" else (np.int64, "iu")
     col = np.array(values)
     if col.size and col.dtype.kind not in kinds:
         raise DomainError(f"{name} must hold {np.dtype(dtype).name} values, got {col.dtype}")
+    if col.size and col.dtype.kind == "u" and int(col.max()) > _INT64_MAX:
+        raise DomainError(f"{name} must hold int64 values, got {int(col.max())} (beyond int64)")
     col = col.astype(dtype, copy=False)
     col.setflags(write=False)
     return col
@@ -169,25 +144,8 @@ class TraceTable:
             raise _row_fault(row, f"duplicate ids in early_topk: {ids_of_row}", line_nos,
                              duplicate=True)
 
-    @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> TraceTable:
-        """A table of ``records`` in order; field types are checked as strictly as on load."""
-        records = list(records)
-        return _table_from_rows(
-            [r.example_id for r in records],
-            [r.position for r in records],
-            [r.early_topk for r in records],
-            [r.final for r in records],
-            [r.layer for r in records],
-        )
-
     def __len__(self) -> int:
         return len(self.position)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        ids = self.example_ids
-        for code, pos, row, n, fin, lay, absent in self._rows():
-            yield TraceRecord(ids[code], pos, tuple(row[:n]), fin, None if absent else lay)
 
     def _rows(self) -> Iterator[tuple]:
         """Each row's column values as Python scalars, converted a block at a time."""
@@ -199,10 +157,6 @@ class TraceTable:
         return np.array(self.example_ids, dtype=object)[self.example_code]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Sequence) and not isinstance(other, str) and all(
-            isinstance(r, TraceRecord) for r in other
-        ):
-            other = TraceTable.from_records(other)
         if not isinstance(other, TraceTable):
             return NotImplemented
         if len(self) != len(other):
@@ -235,7 +189,7 @@ def _mistyped(example_id, position, early, final, layer) -> str | None:
         return f"example_id must be a string, got {example_id!r}"
     if not _is_int64(position):
         return f"position must be an int64 integer, got {position!r}"
-    if type(early) not in (list, tuple) or not all(map(_is_int64, early)):
+    if type(early) is not list or not all(map(_is_int64, early)):
         return f"early_topk must be a list of int64 token ids, got {early!r}"
     if not _is_int64(final):
         return f"final must be an int64 integer, got {final!r}"
@@ -249,7 +203,7 @@ def _strictly_typed(ids: list, positions: list, early: list, finals: list, layer
     return (
         set(map(type, ids)) <= {str}
         and _all_int64(positions)
-        and set(map(type, early)) <= {list, tuple}
+        and set(map(type, early)) <= {list}
         and _all_int64(list(chain.from_iterable(early)))
         and _all_int64(finals)
         and _all_int64([v for v in layers if v is not None])
@@ -257,10 +211,9 @@ def _strictly_typed(ids: list, positions: list, early: list, finals: list, layer
 
 
 def _table_from_rows(
-    ids: list, positions: list, early: list, finals: list, layers: list,
-    line_nos: list[int] | None = None,
+    ids: list, positions: list, early: list, finals: list, layers: list, line_nos: list[int]
 ) -> TraceTable:
-    """Columns from per-row Python values, each strictly of its field's type.
+    """Columns from the loader's per-row values, each strictly of its field's type.
 
     Bools, floats and numeric strings are rejected, not coerced.  The
     first bad row in order is reported, whether its fault is a type or a
@@ -300,9 +253,16 @@ def _table_from_rows(
     return table
 
 
-def as_table(records: TraceTable | Iterable[TraceRecord]) -> TraceTable:
-    """The table itself, or a table built from an iterable of records."""
-    return records if isinstance(records, TraceTable) else TraceTable.from_records(records)
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"duplicate key {repeated!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def load_traces(source: str | Path | IO[str]) -> TraceTable:
@@ -311,8 +271,9 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
     Each field must have its JSON type exactly (``position``, ``final``,
     the ``early_topk`` entries and a present ``layer`` are integers;
     ``example_id`` is a string); anything else raises ParseError naming
-    the first bad line.  A file that is not UTF-8 raises ParseError naming
-    the first undecodable line, unless an earlier line is bad.
+    the first bad line, as does a key repeated within a line; unknown keys
+    are ignored.  A file that is not UTF-8 raises ParseError naming the
+    first undecodable line, unless an earlier line is bad.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -329,9 +290,11 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # a repeated key, or an int too long to convert
+                raise ParseError(line_no, str(exc)) from None
             if type(obj) is not dict:
                 raise ParseError(line_no, "each line must be a JSON object")
             try:
@@ -366,19 +329,16 @@ def _raise_undecodable(data: bytes) -> None:
             ) from None
 
 
-def save_traces(
-    records: TraceTable | Iterable[TraceRecord], sink: str | Path | IO[str]
-) -> None:
-    """Write records as JSONL; load_traces(save_traces(r)) is the identity.
+def save_traces(table: TraceTable, sink: str | Path | IO[str]) -> None:
+    """Write a table as JSONL; load_traces(save_traces(t)) is the identity.
 
-    Each line is byte-identical to ``json.dumps`` of the record's object
+    Each line is byte-identical to ``json.dumps`` of the row's object
     (ASCII escapes included), with ``layer`` omitted when absent.
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
-            save_traces(records, fh)
+            save_traces(table, fh)
             return
-    table = as_table(records)
     quoted = [json.dumps(s) for s in table.example_ids]
 
     def lines() -> Iterator[str]:

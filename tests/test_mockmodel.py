@@ -203,12 +203,14 @@ def test_bias_dials_match_rate_up() -> None:
 def test_emit_trace_mirrors_match_trace() -> None:
     model = MockModel(vocab_size=16, depth=12, seed=202, bias=0.5)
     res = decode_ppd(model, (4,), 20, d_bar=8, k=3)
-    records = emit_trace(res, example_id="case", layer=8)
-    assert len(records) == len(res.tokens) - 1
-    member_bits = tuple(r.final in r.early_topk for r in records)
-    assert member_bits == res.match_trace.bits
-    assert [r.position for r in records] == list(range(1, len(res.tokens)))
-    assert all(r.layer == 8 for r in records)
+    table = emit_trace(res, example_id="case", layer=8)
+    n = len(res.tokens) - 1
+    assert len(table) == n and table.example_ids == ("case",)
+    assert table.topk_len.tolist() == [3] * n  # every row is full, so no padding below
+    member_bits = (table.topk == table.final[:, None]).any(axis=1)
+    assert tuple(member_bits.tolist()) == res.match_trace.bits
+    assert table.position.tolist() == list(range(1, len(res.tokens)))
+    assert table.layer.tolist() == [8] * n and not table.layer_absent.any()
 
 
 def test_emit_trace_requires_pipelined_result() -> None:

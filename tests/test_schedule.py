@@ -18,6 +18,7 @@ from pipedec.core import (
     MatchSequence,
     closed_form_totals,
 )
+from pipedec.rng import Stream
 from pipedec.schedule import (
     EVENTS_CSV_HEADER,
     build_schedule,
@@ -317,7 +318,8 @@ PINNED = [
         "a08b2b17c78e63f2e020939877700afd8a076351564516f60a917d6c4c09bbe1",
         "9a83edc5ec934fe952a49eb2dab897c2730006d3cf9becf7fc28be5544b6e5dd",
         "6266a34bfc06d2f8b591eeebcf9c538cbcd71cbea52b48bf04134dfa7eb30f44")),
-    (DecodingConfig(48, 30, 8, 4096), None, (  # bits from sample_match_sequence(5, 0.7, 4096)
+    # bits from sample_match_sequence(Stream.from_seed(5), 0.7, 4096)
+    (DecodingConfig(48, 30, 8, 4096), None, (
         "3b7b8cce4a2bab7320fa6b2a40df6742fcad0b204df7ad7f7dcb84c98594b272",
         "369a2a98115e8f9cedab93eddfd80ff49ac2e4459bb9aa20220bc0f4f81163b3",
         "ce8bac622bd790e1fc7a35bffa5e365dd1f9ee1e1267fac28acd6ebec9665563",
@@ -328,7 +330,7 @@ PINNED = [
 @pytest.mark.parametrize("cfg, bits, digests", PINNED,
                          ids=["fixture", "half_depth_FTFT", "full_depth", "ell4096"])
 def test_schedule_artifacts_are_pinned(cfg, bits, digests) -> None:
-    matches = (sample_match_sequence(5, 0.7, cfg.ell) if bits is None
+    matches = (sample_match_sequence(Stream.from_seed(5), 0.7, cfg.ell) if bits is None
                else MatchSequence.from_string(bits))
     timeline = build_schedule(cfg, matches)
     artifacts = (identity_report_to_json(verify_identities(timeline)), text_gantt(timeline),

@@ -29,17 +29,17 @@ def test_sample_degenerate_probabilities() -> None:
     assert sample_match_sequence(Stream.from_seed(1), 0.5, 1).bits == ()
 
 
-def test_sample_accepts_bare_seed_and_is_deterministic() -> None:
-    a = sample_match_sequence(17, 0.4, 40)
+def test_sample_is_deterministic() -> None:
+    a = sample_match_sequence(Stream.from_seed(17), 0.4, 40)
     b = sample_match_sequence(Stream.from_seed(17), 0.4, 40)
     assert a == b
 
 
 def test_sample_rejects_bad_arguments() -> None:
     with pytest.raises(DomainError):
-        sample_match_sequence(0, 1.5, 5)
+        sample_match_sequence(Stream.from_seed(0), 1.5, 5)
     with pytest.raises(DomainError):
-        sample_match_sequence(0, 0.5, 0)
+        sample_match_sequence(Stream.from_seed(0), 0.5, 0)
 
 
 def test_sample_hits_target_fraction() -> None:

@@ -13,7 +13,6 @@ from pipedec.trace import (
     DuplicateIdError,
     MatchRateReport,
     ParseError,
-    TraceRecord,
     TraceTable,
     forecast_from_trace,
     load_traces,
@@ -30,7 +29,7 @@ from pipedec.trace import (
 def test_load_empty_file_gives_empty_sequence(tmp_path) -> None:
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert load_traces(path) == []
+    assert len(load_traces(path)) == 0
 
 
 def test_save_load_round_trip(tmp_path) -> None:
@@ -39,10 +38,10 @@ def test_save_load_round_trip(tmp_path) -> None:
     save_traces(records, path)
     assert load_traces(path) == records
     # layer is optional and survives omission
-    bare = [TraceRecord("e", 1, (4, 5), 4)]
+    bare = '{"example_id": "e", "position": 1, "early_topk": [4, 5], "final": 4}\n'
     buf = io.StringIO()
-    save_traces(bare, buf)
-    assert load_traces(io.StringIO(buf.getvalue())) == bare
+    save_traces(load_traces(io.StringIO(bare)), buf)
+    assert buf.getvalue() == bare
 
 
 def test_missing_field_reports_line_number() -> None:
@@ -65,8 +64,8 @@ def test_malformed_json_and_duplicates_rejected() -> None:
         load_traces(
             io.StringIO('{"example_id": "a", "position": 1, "early_topk": [3, 3], "final": 3}\n')
         )
-    with pytest.raises(DomainError):
-        TraceRecord("a", 0, (1,), 1)
+    with pytest.raises(ParseError, match="line 1: position must be >= 1"):
+        load_traces(io.StringIO(GOOD_LINE.replace('"position": 1', '"position": 0')))
 
 
 def test_blank_lines_are_skipped() -> None:
@@ -108,7 +107,7 @@ def test_match_rate_argument_errors() -> None:
     with pytest.raises(DomainError):
         match_rate(records, 0)
     with pytest.raises(DomainError):
-        match_rate([], 1)
+        match_rate(load_traces(io.StringIO("")), 1)
 
 
 def test_wilson_interval_bounds() -> None:
@@ -221,9 +220,16 @@ GOOD_LINE = '{"example_id": "a", "position": 1, "early_topk": [1, 2], "final": 2
          "layer"),
         ('{"example_id": "a", "position": 2, "early_topk": [9223372036854775808], "final": 1}',
          "early_topk"),
+        ('{"example_id": "a", "position": 2, "early_topk": [true, 2], "final": 2}', "early_topk"),
+        ('{"example_id": "a", "position": 2, "early_topk": ["1", 2], "final": 2}', "early_topk"),
+        ('{"example_id": "a", "position": 2, "early_topk": [1, 2], "final": 2.0}', "final"),
+        ('{"example_id": "a", "position": 1.0, "early_topk": [1, 2], "final": 2}', "position"),
+        ('{"example_id": "a", "position": 2, "early_topk": [1], "final": 1, "layer": false}',
+         "layer"),
     ],
     ids=["float_topk_entry", "string_final", "bool_position", "int_example_id",
-         "float_layer", "id_beyond_int64"],
+         "float_layer", "id_beyond_int64", "bool_topk_entry", "string_topk_entry",
+         "float_final", "float_position", "bool_layer"],
 )
 def test_loader_rejects_mistyped_value(line: str, field: str) -> None:
     with pytest.raises(ParseError, match="line 3") as err:
@@ -239,10 +245,20 @@ def test_duplicate_id_names_its_line() -> None:
     assert err.value.line_no == 2
 
 
+def test_duplicate_key_names_its_line() -> None:
+    repeated = GOOD_LINE.replace("}", ', "final": 5}')
+    with pytest.raises(ParseError, match="line 2: duplicate key 'final'") as err:
+        load_traces(io.StringIO(GOOD_LINE + "\n" + repeated + "\n"))
+    assert err.value.line_no == 2
+    # unknown keys are ignored
+    assert len(load_traces(io.StringIO(GOOD_LINE.replace("}", ', "note": {"x": 1}}')))) == 1
+
+
 def test_first_bad_line_is_reported() -> None:
     # a bad value on line 2 precedes a line-3 fault found while reading
     text = GOOD_LINE.replace('"position": 1', '"position": 0') + "\n"
-    for later in ("not json", '{"example_id": 5}', GOOD_LINE.replace("2]", "1.5]")):
+    for later in ("not json", '{"example_id": 5}', GOOD_LINE.replace("2]", "1.5]"),
+                  GOOD_LINE.replace("}", ', "final": 5}')):
         with pytest.raises(ParseError, match="line 2: position must be >= 1"):
             load_traces(io.StringIO(GOOD_LINE + "\n" + text + later + "\n"))
 
@@ -262,41 +278,28 @@ def test_non_utf8_file_names_its_line(tmp_path) -> None:
         load_traces(path)
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("a", 1, (1.7, 2), 1),
-        ("a", 1, (True, 2), 1),
-        ("a", 1, ("1", 2), 1),
-        ("a", 1, (2**63, 2), 1),
-        ("a", 1, (1, 2), "3"),
-        ("a", 1, (1, 2), 2.0),
-        ("a", True, (1, 2), 1),
-        ("a", 1.0, (1, 2), 1),
-        ("a", 1, (1, 2), 1, 2.0),
-        ("a", 1, (1, 2), 1, False),
-    ],
-    ids=["float_topk_entry", "bool_topk_entry", "string_topk_entry", "topk_beyond_int64",
-         "string_final", "float_final", "bool_position", "float_position", "float_layer",
-         "bool_layer"],
-)
-def test_record_rejects_mistyped_value(args: tuple) -> None:
-    with pytest.raises(DomainError):
-        TraceRecord(*args)
-
-
 def test_record_keeps_int_values() -> None:
-    record = TraceRecord("a", 2, [5, 3], 3, layer=None)
-    assert record.early_topk == (5, 3)
-    assert TraceRecord("a", 1, (), -1, 0).layer == 0
+    # layer 0 is a tag, not an absent layer; an empty early_topk and a negative final are data
+    table = load_traces(io.StringIO(
+        '{"example_id": "a", "position": 1, "early_topk": [], "final": -1, "layer": 0}\n'
+    ))
+    assert table.topk_len.tolist() == [0] and table.final.tolist() == [-1]
+    assert table.layer.tolist() == [0] and table.layer_absent.tolist() == [False]
 
 
-HAND_BUILT = [
-    TraceRecord("caf\u00e9-\u03b1", 1, (5, 9, 2), 9, layer=12),
-    TraceRecord("caf\u00e9-\u03b1", 2, (7,), 3),
-    TraceRecord("\u4f8b\u5b50 \"q\"", 1, (4, 0, 11, 6), 6, layer=0),
-    TraceRecord("plain", 7, (2**40, -3), -3),
-]
+# written by json.dumps, the writer this format was defined by
+HAND_BUILT = "".join(json.dumps(row) + "\n" for row in [
+    {"example_id": "caf\u00e9-\u03b1", "position": 1, "early_topk": [5, 9, 2], "final": 9,
+     "layer": 12},
+    {"example_id": "caf\u00e9-\u03b1", "position": 2, "early_topk": [7], "final": 3},
+    {"example_id": "\u4f8b\u5b50 \"q\"", "position": 1, "early_topk": [4, 0, 11, 6], "final": 6,
+     "layer": 0},
+    {"example_id": "plain", "position": 7, "early_topk": [2**40, -3], "final": -3},
+])
+
+
+def hand_built() -> TraceTable:
+    return load_traces(io.StringIO(HAND_BUILT))
 
 
 @pytest.mark.parametrize(
@@ -304,7 +307,7 @@ HAND_BUILT = [
     [
         (lambda: planted_trace(0.6837, 2000, 3, seed=0, layer=20),
          "7dd4322f9276d43ada4a9d1d5d96107a30ee811bfbbf7c82839478749b5bcd4a"),
-        (lambda: HAND_BUILT,
+        (hand_built,
          "37756ceef998f4b834b0c7fa7b8210f1d22acc1a4ca75c5a5a44d251808f2212"),
     ],
     ids=["planted", "hand_built"],
@@ -317,12 +320,19 @@ def test_save_traces_bytes_are_pinned(records, digest: str) -> None:
 
 
 def test_table_rows_and_equality() -> None:
-    table = TraceTable.from_records(HAND_BUILT)
+    table = hand_built()
     assert len(table) == 4
-    assert list(table) == HAND_BUILT
-    assert table == HAND_BUILT and table == tuple(HAND_BUILT)
-    assert table != HAND_BUILT[:3] and table != HAND_BUILT[::-1]
-    assert TraceTable.from_records([]) == []
+    assert table.example_ids == ("caf\u00e9-\u03b1", "\u4f8b\u5b50 \"q\"", "plain")
+    assert table.example_code.tolist() == [0, 0, 1, 2]
+    assert table.position.tolist() == [1, 2, 1, 7]
+    assert table.topk.tolist() == [[5, 9, 2, 0], [7, 0, 0, 0], [4, 0, 11, 6], [2**40, -3, 0, 0]]
+    assert table.final.tolist() == [9, 3, 6, -3]
+    assert table.layer.tolist() == [12, 0, 0, 0]
+    lines = HAND_BUILT.splitlines(keepends=True)
+    assert table == hand_built() and table != []
+    assert table != load_traces(io.StringIO("".join(lines[:3])))
+    assert table != load_traces(io.StringIO("".join(lines[::-1])))
+    assert load_traces(io.StringIO("")) == load_traces(io.StringIO("\n"))
     assert table.topk.dtype == np.int64 and table.topk.shape == (4, 4)
     assert table.topk_len.tolist() == [3, 1, 4, 2]
     assert table.layer_absent.tolist() == [False, True, False, True]
@@ -340,21 +350,40 @@ def test_table_padding_is_not_data() -> None:
 
     assert table(0, 2) == table(-1, 5)
     assert table(4, 3).topk.tolist() == [[4, 0], [5, 6]]
-    assert list(table(7, 2)) == [TraceRecord("b", 1, (4,), 4), TraceRecord("a", 2, (5, 6), 6, 3)]
+    # the same rows with the string table in another order
+    assert table(7, 2) == load_traces(io.StringIO(
+        '{"example_id": "b", "position": 1, "early_topk": [4], "final": 4}\n'
+        '{"example_id": "a", "position": 2, "early_topk": [5, 6], "final": 6, "layer": 3}\n'
+    ))
+
+
+GOOD_COLUMNS = dict(example_ids=("a",), example_code=[0], position=[1], topk=[[1, 2]],
+                    topk_len=[2], final=[1], layer=[0], layer_absent=[True])
 
 
 def test_table_construction_errors() -> None:
-    good = dict(example_ids=("a",), example_code=[0], position=[1], topk=[[1, 2]],
-                topk_len=[2], final=[1], layer=[0], layer_absent=[True])
+    good = GOOD_COLUMNS
     TraceTable(**good)
     for change in ({"topk": [[1, 1]]}, {"topk": [[1, 5], [1, 5]]}, {"topk_len": [3]},
-                   {"example_code": [1]}, {"final": [1.5]}, {"position": [0]}):
+                   {"example_code": [1]}, {"final": [1.5]}, {"position": [0]},
+                   {"example_ids": (5,)}):
         with pytest.raises(ValueError):
             TraceTable(**{**good, **change})
     with pytest.raises(DuplicateIdError, match="row 0"):
         TraceTable(**{**good, "topk": [[1, 1]]})
-    with pytest.raises(DomainError, match="row 0"):
-        TraceTable.from_records([TraceRecord(5, 1, (1,), 1)])
+    with pytest.raises(DomainError, match="row 0: position must be >= 1"):
+        TraceTable(**{**good, "position": [0]})
+
+
+def test_table_rejects_unsigned_beyond_int64() -> None:
+    for name, values in (("final", [2**63]), ("topk", np.array([[1, 2**63]], np.uint64)),
+                         ("position", [2**64 - 1])):
+        with pytest.raises(DomainError, match=f"^{name} must hold int64 values"):
+            TraceTable(**{**GOOD_COLUMNS, name: values})
+    # unsigned values within int64 are kept
+    table = TraceTable(**{**GOOD_COLUMNS, "final": np.array([2**63 - 1], np.uint64),
+                          "topk": np.array([[1, 2]], np.uint64)})
+    assert table.final.tolist() == [2**63 - 1] and table.topk.dtype == np.int64
 
 
 def test_reports_carry_python_scalars() -> None:
