@@ -375,6 +375,31 @@ def test_table_construction_errors() -> None:
         TraceTable(**{**good, "position": [0]})
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"topk": [[1.7, 2]]}, "topk"),
+        # numpy reads a list mixing bools and ints as int64, so the bool row is all bools
+        ({"topk": [[True, False]]}, "topk"),
+        ({"topk": [["1", 2]]}, "topk"),
+        ({"topk": [[2**63, 2]]}, "topk"),
+        ({"final": ["3"]}, "final"),
+        ({"final": [2.0]}, "final"),
+        ({"position": [True]}, "position"),
+        ({"position": [1.0]}, "position"),
+        ({"layer": [2.0], "layer_absent": [False]}, "layer"),
+        ({"layer": [False], "layer_absent": [False]}, "layer"),
+    ],
+    ids=["float_topk_entry", "bool_topk_entry", "string_topk_entry", "topk_beyond_int64",
+         "string_final", "float_final", "bool_position", "float_position", "float_layer",
+         "bool_layer"],
+)
+def test_record_rejects_mistyped_value(change: dict, field: str) -> None:
+    # a one-row table built by the constructor, the library's way to build a trace
+    with pytest.raises(DomainError, match=f"^{field} must hold int64 values"):
+        TraceTable(**{**GOOD_COLUMNS, **change})
+
+
 def test_table_rejects_unsigned_beyond_int64() -> None:
     for name, values in (("final", [2**63]), ("topk", np.array([[1, 2**63]], np.uint64)),
                          ("position", [2**64 - 1])):
