@@ -42,15 +42,14 @@ def _nonempty(values: list) -> list:
     return values
 
 
-def _add_config_flags(sub: argparse.ArgumentParser, with_p: bool = True) -> None:
+def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON file with keys d, dbar, k, l, p; flags override it")
     sub.add_argument("--d", type=int, default=None, help="total layer count")
     sub.add_argument("--dbar", type=int, default=None, help="early-prediction layer")
     sub.add_argument("--k", type=int, default=None, help="speculative sub-process count")
     sub.add_argument("--l", type=int, default=None, help="tokens to generate")
-    if with_p:
-        sub.add_argument("--p", type=float, default=None, help="match probability")
+    sub.add_argument("--p", type=float, default=None, help="match probability")
 
 
 def _merged_config(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
@@ -61,20 +60,16 @@ def _merged_config(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DomainError(f"--config {args.config}: invalid JSON ({exc})") from None
+            except UnicodeDecodeError as exc:
+                raise DomainError(f"--config {args.config}: not valid UTF-8 ({exc})") from None
         if not isinstance(loaded, dict):
             raise DomainError("--config file must hold a JSON object")
         merged.update(loaded)
+    # DecodingConfig checks the values' types
     for key in ("d", "dbar", "k", "l", "p"):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-            continue
-        value = merged.get(key)
-        if value is not None and type(value) is not int and not (
-            key == "p" and type(value) is float
-        ):
-            kind = "a number" if key == "p" else "an integer"
-            raise DomainError(f"--config key {key!r} must be {kind}, got {value!r}")
     missing = [key for key in required if merged.get(key) is None]
     if missing:
         raise DomainError(f"missing required flag(s): {', '.join('--' + m for m in missing)}")
@@ -170,19 +165,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     cfg = _merged_config(args, required=("d", "dbar", "k", "l"))
-    ell = cfg["l"]
+    # the config's own rules (ell >= 1 among them, and p's when it is given) come first
+    config = DecodingConfig(cfg["d"], cfg["dbar"], cfg["k"], cfg["l"], cfg.get("p"))
+    ell = config.ell
     if args.matches is not None:
-        # the config's own rules (ell >= 1 among them) come before the bit count
-        config = DecodingConfig(cfg["d"], cfg["dbar"], cfg["k"], ell)
         matches = MatchSequence.from_string(args.matches)
         if len(matches.bits) != ell - 1:
             raise DomainError(
                 f"--matches must have l-1 = {ell - 1} bits, got {len(matches.bits)}"
             )
+    elif config.p_correct is None:
+        raise DomainError("give --matches or --p (with --seed) to define the match bits")
     else:
-        if cfg.get("p") is None:
-            raise DomainError("give --matches or --p (with --seed) to define the match bits")
-        config = DecodingConfig(cfg["d"], cfg["dbar"], cfg["k"], ell, cfg["p"])
         matches = stochastic.sample_match_sequence(
             Stream.from_seed(args.seed), config.p_correct, ell
         )
@@ -272,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sched = subs.add_parser("schedule", help="replay one schedule and verify its identities")
-    _add_config_flags(p_sched, with_p=True)
+    _add_config_flags(p_sched)
     p_sched.add_argument("--matches", type=str, default=None,
                          help="explicit match bits, e.g. TTFT (length l-1)")
     p_sched.add_argument("--seed", type=int, default=0,
@@ -309,8 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, trace.ParseError, trace.DuplicateIdError, OSError,
-            UnicodeDecodeError) as exc:
+    except (DomainError, OSError) as exc:  # trace.ParseError is a DomainError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,7 @@ All types are immutable value objects and safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,9 @@ class DomainError(ValueError):
 
 
 def check_p(p: float) -> float:
-    """Return ``p`` as a float, rejecting values outside [0, 1] (NaN included)."""
+    """Return ``p`` as a float, rejecting bools, non-numbers and values outside [0, 1] or NaN."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise DomainError(f"p_correct must be a number, got {p!r}")
     value = float(p)
     if not (0.0 <= value <= 1.0):
         raise DomainError(f"p_correct must lie in [0, 1], got {p}")
@@ -28,9 +31,9 @@ class DecodingConfig:
 
     The time unit throughout the package is the cost of one layer's
     forward computation, so a full forward pass costs ``d`` time units.
-    Construction checks every invariant, the exact regime 2*d_bar >= d
-    included, and raises DomainError naming the first one violated; a
-    config that exists is valid.
+    Construction checks every invariant, the value types and the exact
+    regime 2*d_bar >= d included, and raises DomainError naming the first
+    one violated; a config that exists is valid and holds Python numbers.
     """
 
     d: int                            # total layer count
@@ -40,6 +43,12 @@ class DecodingConfig:
     p_correct: float | None = None   # per-token match probability; None for trace-driven runs
 
     def __post_init__(self) -> None:
+        for name in ("d", "d_bar", "k", "ell"):
+            value = getattr(self, name)
+            # a bool is an Integral, and a float such as 40.0 is not
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.p_correct is not None:
             object.__setattr__(self, "p_correct", check_p(self.p_correct))
         if self.d < 1:

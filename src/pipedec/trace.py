@@ -26,7 +26,6 @@ from .analytic import (
 from .core import DecodingConfig, DomainError, LatencyComputeReport, check_p
 from .rng import Stream
 from .tracetable import (  # noqa: F401  (re-exported: the trace API is one import)
-    DuplicateIdError,
     ParseError,
     TraceTable,
     load_traces,
@@ -123,7 +122,9 @@ class TraceForecast:
 
     ``report`` evaluates the exact expectations at p_hat; the *_range
     pairs re-evaluate them at both interval endpoints (latency falls as
-    the match rate rises, so ranges are returned low-to-high).
+    the match rate rises, so ranges are returned low-to-high).  The last
+    three fields are the half-depth closed forms at p_hat; they hold only
+    for an early layer at exactly half depth and are None at any other.
     """
 
     k: int
@@ -132,9 +133,9 @@ class TraceForecast:
     report: LatencyComputeReport
     latency_range: tuple[float, float]
     compute_range: tuple[float, float]
-    latency_per_token_norm: float
-    compute_per_time_unit: float
-    compute_per_token: float
+    latency_per_token_norm: float | None
+    compute_per_time_unit: float | None
+    compute_per_token: float | None
 
 
 def forecast_from_trace(table: TraceTable, k: int, d: int, d_bar: int, ell: int) -> TraceForecast:
@@ -142,6 +143,7 @@ def forecast_from_trace(table: TraceTable, k: int, d: int, d_bar: int, ell: int)
     rate = match_rate(table, k)
     lo_p, hi_p = rate.ci95
     at_hat, at_lo, at_hi = (DecodingConfig(d, d_bar, k, ell, p) for p in (rate.p_hat, lo_p, hi_p))
+    hat, halfdepth = rate.p_hat, 2 * d_bar == d
     return TraceForecast(
         k=k,
         p_hat=rate.p_hat,
@@ -151,9 +153,9 @@ def forecast_from_trace(table: TraceTable, k: int, d: int, d_bar: int, ell: int)
         ),
         latency_range=(expected_latency(at_hi), expected_latency(at_lo)),
         compute_range=(expected_total_compute(at_hi), expected_total_compute(at_lo)),
-        latency_per_token_norm=per_token_latency_halfdepth(rate.p_hat, d) / d,
-        compute_per_time_unit=avg_compute_per_time_unit_halfdepth(rate.p_hat, k),
-        compute_per_token=avg_compute_per_token_halfdepth(rate.p_hat, k),
+        latency_per_token_norm=per_token_latency_halfdepth(hat, d) / d if halfdepth else None,
+        compute_per_time_unit=avg_compute_per_time_unit_halfdepth(hat, k) if halfdepth else None,
+        compute_per_token=avg_compute_per_token_halfdepth(hat, k) if halfdepth else None,
     )
 
 

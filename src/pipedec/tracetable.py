@@ -13,7 +13,6 @@ string where an integer belongs is an error, never coerced.
 
 from __future__ import annotations
 
-import io
 import json
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
@@ -32,23 +31,11 @@ _ROW_BLOCK = 4096
 _ROW_COLUMNS = ("example_code", "position", "topk", "topk_len", "final", "layer", "layer_absent")
 
 
-class ParseError(ValueError):
-    """A trace line could not be parsed; carries the 1-based line number."""
+class ParseError(DomainError):
+    """A trace line could not be parsed or holds a bad value; carries the 1-based line number."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
-
-
-class DuplicateIdError(ValueError):
-    """early_topk contained the same token id twice.
-
-    ``line_no`` is the 1-based trace line when the record came from a file.
-    """
-
-    def __init__(self, reason: str, line_no: int | None = None):
-        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
 
@@ -61,20 +48,14 @@ def _column(values, name: str) -> np.ndarray:
         raise DomainError(f"{name} must hold {np.dtype(dtype).name} values, got {col.dtype}")
     if col.size and col.dtype.kind == "u" and int(col.max()) > _INT64_MAX:
         raise DomainError(f"{name} must hold int64 values, got {int(col.max())} (beyond int64)")
+    # numpy reads a sequence mixing bools and ints as ints, so a sequence's elements are checked
+    if dtype is not bool and not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.array(values, dtype=object).flat
+    ):
+        raise DomainError(f"{name} must hold int64 values, got a bool")
     col = col.astype(dtype, copy=False)
     col.setflags(write=False)
     return col
-
-
-def _row_fault(row: int, reason: str, line_nos: Sequence[int] | None,
-               duplicate: bool = False) -> ValueError:
-    """The error for a bad row: by trace line when the row came from a file."""
-    if line_nos is None:
-        reason = f"row {row}: {reason}"
-        return DuplicateIdError(reason) if duplicate else DomainError(reason)
-    if duplicate:
-        return DuplicateIdError(reason, line_nos[row])
-    return ParseError(line_nos[row], reason)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +118,13 @@ class TraceTable:
         bad = bad_position | duplicate
         if bad.any():
             row = int(bad.argmax())
-            if bad_position[row]:
-                raise _row_fault(row, f"position must be >= 1, got {int(cols['position'][row])}",
-                                 line_nos)
-            ids_of_row = topk[row, : lens[row]].tolist()
-            raise _row_fault(row, f"duplicate ids in early_topk: {ids_of_row}", line_nos,
-                             duplicate=True)
+            reason = (
+                f"position must be >= 1, got {int(cols['position'][row])}" if bad_position[row]
+                else f"duplicate ids in early_topk: {topk[row, : lens[row]].tolist()}"
+            )
+            if line_nos is not None:  # the row came from a file: report it by trace line
+                raise ParseError(line_nos[row], reason)
+            raise DomainError(f"row {row}: {reason}")
 
     def __len__(self) -> int:
         return len(self.position)
@@ -211,21 +193,23 @@ def _strictly_typed(ids: list, positions: list, early: list, finals: list, layer
 
 
 def _table_from_rows(
-    ids: list, positions: list, early: list, finals: list, layers: list, line_nos: list[int]
+    ids: list, positions: list, early: list, finals: list, layers: list, line_nos: list[int],
+    fault: ParseError | None,
 ) -> TraceTable:
     """Columns from the loader's per-row values, each strictly of its field's type.
 
     Bools, floats and numeric strings are rejected, not coerced.  The
-    first bad row in order is reported, whether its fault is a type or a
-    value.
+    first fault in file order is raised: a bad row's type or value, else
+    ``fault``, the line-level fault that ended the read after these rows.
     """
-    stop, fault = len(ids), None
+    stop = len(ids)
     if not _strictly_typed(ids, positions, early, finals, layers):
-        stop, fault = next(
+        stop, why = next(
             (row, why)
             for row, why in enumerate(map(_mistyped, ids, positions, early, finals, layers))
             if why is not None
         )
+        fault = ParseError(line_nos[stop], why)
         ids, positions, early, finals, layers = (
             ids[:stop], positions[:stop], early[:stop], finals[:stop], layers[:stop]
         )
@@ -237,19 +221,20 @@ def _table_from_rows(
     )
     index: dict[str, int] = {}
     codes = [index.setdefault(s, len(index)) for s in ids]
+    # the values are typed already, so the constructor gets arrays it need not check again
     table = TraceTable(
         example_ids=tuple(index),
-        example_code=codes,
-        position=positions,
+        example_code=np.array(codes, np.int64),
+        position=np.array(positions, np.int64),
         topk=topk,
         topk_len=lens,
-        final=finals,
-        layer=[0 if v is None else v for v in layers],
+        final=np.array(finals, np.int64),
+        layer=np.array([0 if v is None else v for v in layers], np.int64),
         layer_absent=[v is None for v in layers],
         line_nos=line_nos,
     )
     if fault is not None:
-        raise _row_fault(stop, fault, line_nos)
+        raise fault
     return table
 
 
@@ -272,20 +257,24 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
     the ``early_topk`` entries and a present ``layer`` are integers;
     ``example_id`` is a string); anything else raises ParseError naming
     the first bad line, as does a key repeated within a line; unknown keys
-    are ignored.  A file that is not UTF-8 raises ParseError naming the
-    first undecodable line, unless an earlier line is bad.
+    are ignored.  A line that is not UTF-8 raises ParseError too.  Faults
+    are reported in file order, the first one only.
     """
     if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                return load_traces(fh)
-        except UnicodeDecodeError:
-            _raise_undecodable(Path(source).read_bytes())
-            raise
+        # undecodable bytes become lone surrogates, which the loop below reports by line
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            return load_traces(fh)
     columns: tuple[list, ...] = ([], [], [], [], [], [])
     ids, positions, early, finals, layers, line_nos = columns
+    fault = None
     try:
         for line_no, line in enumerate(source, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeError as exc:
+                    raise ParseError(line_no, f"not valid UTF-8 (utf-8 codec: {exc.reason} "
+                                              f"at byte {exc.start + 1})") from None
             line = line.strip()
             if not line:
                 continue
@@ -307,26 +296,9 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
             finals.append(row[3])
             layers.append(obj.get("layer"))
             line_nos.append(line_no)
-    except ParseError:
-        _table_from_rows(*columns)  # a bad value on an earlier line is reported first
-        raise
-    return _table_from_rows(*columns)
-
-
-def _raise_undecodable(data: bytes) -> None:
-    """Raise ParseError for the first line of ``data`` that is not UTF-8, if there is one."""
-    # bytes.splitlines splits where a text-mode file does ('\n', '\r', '\r\n'); those
-    # bytes never occur inside a UTF-8 sequence, so each line decodes on its own
-    lines = data.splitlines(keepends=True)
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # the lines above decode, so a bad value among them is reported first
-            load_traces(io.StringIO(b"".join(lines[: line_no - 1]).decode("utf-8"), newline=None))
-            raise ParseError(
-                line_no, f"not valid UTF-8 (utf-8 codec: {exc.reason} at byte {exc.start + 1})"
-            ) from None
+    except ParseError as exc:
+        fault = exc  # pending: a bad value on an earlier line is reported first
+    return _table_from_rows(*columns, fault)
 
 
 def save_traces(table: TraceTable, sink: str | Path | IO[str]) -> None:

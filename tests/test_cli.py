@@ -233,13 +233,35 @@ def test_config_malformed_json_is_usage_error(tmp_path, capsys) -> None:
     assert "invalid JSON" in _single_error_line(capsys)
 
 
-def test_config_wrong_type_is_usage_error(tmp_path, capsys) -> None:
+GOOD_CONFIG = {"d": 40, "dbar": 20, "k": 3, "l": 8, "p": 0.5}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"d": "40"}, "d must be an integer, got '40'"),
+        ({"d": 40.0}, "d must be an integer, got 40.0"),
+        ({"k": True}, "k must be an integer, got True"),
+        ({"l": 8.0}, "ell must be an integer, got 8.0"),
+        ({"p": "0.5"}, "p_correct must be a number, got '0.5'"),
+        ({"p": True}, "p_correct must be a number, got True"),
+        (json.dumps({**GOOD_CONFIG, "note": "x"}).encode().replace(b"x", b"\xff"),
+         "--config {cfg}: not valid UTF-8"),
+    ],
+    ids=["string_d", "float_d", "bool_k", "float_l", "string_p", "bool_p", "non_utf8_file"],
+)
+def test_config_wrong_type_is_usage_error(tmp_path, capsys, change, message) -> None:
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"d": "40", "dbar": 20, "k": 3, "l": 8, "p": 0.5}))
+    if isinstance(change, bytes):
+        cfg.write_bytes(change)
+    else:
+        cfg.write_text(json.dumps({**GOOD_CONFIG, **change}))
     assert main(["analyze", "--config", str(cfg)]) == 2
-    assert "'d'" in _single_error_line(capsys)
-    # a flag replaces the file's value before it is checked
-    assert main(["analyze", "--config", str(cfg), "--d", "40"]) == 0
+    assert message.format(cfg=cfg) in _single_error_line(capsys)
+    if isinstance(change, dict):
+        # a flag replaces the file's value before it is checked
+        for key in change:
+            assert main(["analyze", "--config", str(cfg), f"--{key}", str(GOOD_CONFIG[key])]) == 0
 
 
 def test_verify_small_run_passes(capsys) -> None:
@@ -315,6 +337,9 @@ MALFORMED = [
     (["analyze", *_CFG, "--l", "8", "--p", "1.5"], "error: p_correct must lie in [0, 1], got 1.5"),
     (["simulate", *_CFG, "--l", "8", "--p", "1.5"], "error: p_correct must lie in [0, 1], got 1.5"),
     (["schedule", *_CFG, "--l", "8", "--p", "1.5"], "error: p_correct must lie in [0, 1], got 1.5"),
+    # a given p is checked even where --matches makes it unused
+    (["schedule", *_CFG, "--l", "3", "--matches", "TT", "--p", "1.5"],
+     "error: p_correct must lie in [0, 1], got 1.5"),
     (["sweep", "--d", "40", "--dbar", "20", "--l", "8", "--k-list", "1", "--p-list", "1.5"],
      "error: p_correct must lie in [0, 1], got 1.5"),
     (["schedule", *_CFG, "--l", "3", "--matches", "TTX"],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from pipedec.core import (
     closed_form_totals,
 )
 from pipedec.schedule import build_schedule
-from pipedec.stochastic import monte_carlo
+from pipedec.stochastic import monte_carlo, summary_to_json
 
 
 def test_validate_accepts_tradeoff_reference_config() -> None:
@@ -94,18 +96,26 @@ def test_closed_form_totals_int_and_array() -> None:
     ]
 
 
-@settings(deadline=None, max_examples=500)
+@settings(max_examples=500)
 @given(
     d=st.integers(1, 12),
     d_bar=st.integers(-1, 13),
     k=st.integers(-1, 3),
     ell=st.integers(0, 4),
-    p=st.sampled_from([None, 0, 1, 0.5, -0.1, 1.5]),
+    p=st.sampled_from([None, 0, 1, 0.5, -0.1, 1.5, True, "0.5", np.float64(0.5)]),
+    # one integer field replaced by a value of another type, or none
+    retyped=st.none() | st.tuples(st.sampled_from(["d", "d_bar", "k", "ell"]),
+                                  st.sampled_from([3.0, True, "3", np.int64(3)])),
 )
-def test_config_exists_exactly_when_its_rules_hold(d, d_bar, k, ell, p) -> None:
+def test_config_exists_exactly_when_its_rules_hold(d, d_bar, k, ell, p, retyped) -> None:
+    values = dict(d=d, d_bar=d_bar, k=k, ell=ell)
+    if retyped is not None:
+        values[retyped[0]] = retyped[1]
+    d, d_bar, k, ell = values.values()
     rules_hold = (
-        1 <= d_bar <= d and 2 * d_bar >= d and ell >= 1 and k >= 0
-        and (p is None or 0 <= p <= 1)
+        all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in values.values())
+        and 1 <= d_bar <= d and 2 * d_bar >= d and ell >= 1 and k >= 0
+        and (p is None or type(p) not in (bool, str) and 0 <= p <= 1)
     )
     try:
         cfg = DecodingConfig(d, d_bar, k, ell, p)
@@ -113,9 +123,14 @@ def test_config_exists_exactly_when_its_rules_hold(d, d_bar, k, ell, p) -> None:
         assert not rules_hold
         return
     assert rules_hold
+    # a config holds Python numbers, whatever numeric type it was built from
+    assert {type(cfg.d), type(cfg.d_bar), type(cfg.k), type(cfg.ell)} == {int}
+    assert p is None or type(cfg.p_correct) is float
     # every config that exists is one the consumers accept
-    timeline = build_schedule(cfg, MatchSequence((True,) * (ell - 1)))
+    timeline = build_schedule(cfg, MatchSequence((True,) * (cfg.ell - 1)))
     assert timeline.makespan == closed_form_totals(d, d_bar, k, ell, 1)[0]
     if p is not None:
         assert expected_latency(cfg) == d * ell - (d - d_bar) * (ell - 1) * p
-        assert monte_carlo(cfg, 1, 0).trials == 1
+        summary = monte_carlo(cfg, 1, 0)
+        assert json.loads(summary_to_json(summary))["config"]["d"] == d
+        assert summary.trials == 1

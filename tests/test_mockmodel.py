@@ -354,7 +354,6 @@ def test_eos_edge_case_stops_at_the_first_token() -> None:
     assert decode_ppd(model, prompt, ell, d_bar, k).tokens == (EOS_TOKEN,)
 
 
-@settings(deadline=None)
 @with_edge_cases
 @given(case=ppd_cases())
 def test_pipelined_tokens_equal_greedy_tokens(case) -> None:
@@ -364,7 +363,7 @@ def test_pipelined_tokens_equal_greedy_tokens(case) -> None:
     )
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @with_edge_cases
 @given(case=ppd_cases())
 def test_decoders_equal_slow_reference(case) -> None:
@@ -377,7 +376,7 @@ def test_decoders_equal_slow_reference(case) -> None:
     assert seq.spec_layer_count == 0
 
 
-@settings(deadline=None, max_examples=30)
+@settings(max_examples=30)
 @example(vocab=2, seed=0, hidden=0)
 @example(vocab=1024, seed=11, hidden=0x9E3779B97F4A7C15)
 @given(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pipedec.core import (
@@ -240,7 +240,6 @@ def schedule_cases(draw) -> tuple[DecodingConfig, MatchSequence]:
     return cfg, MatchSequence(tuple(bits))
 
 
-@settings(deadline=None)
 @example(case=(DecodingConfig(12, 12, 3, 9), MatchSequence.from_string("TFTTFFTT")))  # d_bar = d
 @example(case=(DecodingConfig(40, 20, 0, 6), MatchSequence.from_string("TTFTF")))    # k = 0
 @example(case=(DecodingConfig(9, 5, 4, 1), MatchSequence(())))                      # ell = 1
@@ -282,7 +281,6 @@ def _reference_events(cfg: DecodingConfig, matches: MatchSequence) -> tuple[list
     return rows, t
 
 
-@settings(deadline=None)
 @example(case=(DecodingConfig(12, 12, 3, 9), MatchSequence.from_string("TFTTFFTT")))  # d_bar = d
 @example(case=(DecodingConfig(16, 8, 3, 6), MatchSequence.from_string("TTFTT")))     # pre = 0
 @example(case=(DecodingConfig(40, 30, 0, 6), MatchSequence.from_string("TTFTF")))    # k = 0

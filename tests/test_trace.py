@@ -8,9 +8,13 @@ import math
 import numpy as np
 import pytest
 
+from pipedec.analytic import (
+    avg_compute_per_time_unit_halfdepth,
+    avg_compute_per_token_halfdepth,
+    per_token_latency_halfdepth,
+)
 from pipedec.core import DomainError
 from pipedec.trace import (
-    DuplicateIdError,
     MatchRateReport,
     ParseError,
     TraceTable,
@@ -60,7 +64,7 @@ def test_malformed_json_and_duplicates_rejected() -> None:
         load_traces(io.StringIO("not json\n"))
     with pytest.raises(ParseError, match="JSON object"):
         load_traces(io.StringIO("[1, 2]\n"))
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(ParseError, match="line 1: duplicate ids"):
         load_traces(
             io.StringIO('{"example_id": "a", "position": 1, "early_topk": [3, 3], "final": 3}\n')
         )
@@ -157,6 +161,15 @@ def test_forecast_matches_reference_tradeoff_point() -> None:
     assert fc.latency_per_token_norm == pytest.approx(0.658, abs=0.003)
     assert fc.compute_per_time_unit == pytest.approx(3.28, abs=0.02)
     assert fc.report.total_latency == pytest.approx(40 * 128 - 20 * 127 * fc.p_hat, rel=1e-12)
+    assert (fc.latency_per_token_norm, fc.compute_per_time_unit, fc.compute_per_token) == (
+        per_token_latency_halfdepth(fc.p_hat, 40) / 40,
+        avg_compute_per_time_unit_halfdepth(fc.p_hat, 3),
+        avg_compute_per_token_halfdepth(fc.p_hat, 3),
+    )
+    # the half-depth closed forms do not describe an early layer past half depth
+    off = forecast_from_trace(records, k=3, d=40, d_bar=30, ell=128)
+    assert off.latency_per_token_norm is off.compute_per_time_unit is off.compute_per_token is None
+    assert off.report.total_latency == pytest.approx(40 * 128 - 10 * 127 * off.p_hat, rel=1e-12)
 
 
 def test_forecast_zero_rate_is_sequential_cost() -> None:
@@ -240,7 +253,7 @@ def test_loader_rejects_mistyped_value(line: str, field: str) -> None:
 
 def test_duplicate_id_names_its_line() -> None:
     dup = '{"example_id": "a", "position": 2, "early_topk": [3, 3], "final": 3}'
-    with pytest.raises(DuplicateIdError, match="line 2") as err:
+    with pytest.raises(ParseError, match="line 2: duplicate ids") as err:
         load_traces(io.StringIO(GOOD_LINE + "\n" + dup + "\n"))
     assert err.value.line_no == 2
 
@@ -369,7 +382,7 @@ def test_table_construction_errors() -> None:
                    {"example_ids": (5,)}):
         with pytest.raises(ValueError):
             TraceTable(**{**good, **change})
-    with pytest.raises(DuplicateIdError, match="row 0"):
+    with pytest.raises(DomainError, match="row 0: duplicate ids"):
         TraceTable(**{**good, "topk": [[1, 1]]})
     with pytest.raises(DomainError, match="row 0: position must be >= 1"):
         TraceTable(**{**good, "position": [0]})
@@ -389,10 +402,15 @@ def test_table_construction_errors() -> None:
         ({"position": [1.0]}, "position"),
         ({"layer": [2.0], "layer_absent": [False]}, "layer"),
         ({"layer": [False], "layer_absent": [False]}, "layer"),
+        # and a bool mixed into a sequence of ints is caught element by element
+        ({"topk": [[True, 2]]}, "topk"),
+        ({"example_code": [0, 0], "position": [1, 2], "topk": [[1, 2], [1, 2]],
+          "topk_len": [2, 2], "final": [True, 2], "layer": [0, 0], "layer_absent": [True, True]},
+         "final"),
     ],
     ids=["float_topk_entry", "bool_topk_entry", "string_topk_entry", "topk_beyond_int64",
          "string_final", "float_final", "bool_position", "float_position", "float_layer",
-         "bool_layer"],
+         "bool_layer", "mixed_bool_topk_entry", "mixed_bool_final"],
 )
 def test_record_rejects_mistyped_value(change: dict, field: str) -> None:
     # a one-row table built by the constructor, the library's way to build a trace

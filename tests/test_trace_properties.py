@@ -6,7 +6,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pipedec.core import DomainError
@@ -46,7 +46,6 @@ def jsonl(rows: list[tuple]) -> str:
     )
 
 
-@settings(deadline=None)
 @given(rows=st.lists(records(), max_size=30), data=st.data())
 def test_save_load_round_trip(rows: list[tuple], data) -> None:
     text = jsonl(rows)
@@ -83,7 +82,6 @@ def _reference(rows: list[tuple], k: int, width: int) -> MatchRateReport:
     )
 
 
-@settings(deadline=None)
 @given(
     rows=st.lists(records(tokens=SMALL_TOKENS, min_topk=1), min_size=1, max_size=40),
     k=st.integers(1, 5),
