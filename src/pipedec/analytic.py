@@ -1,47 +1,19 @@
 """Closed-form latency/compute trade-off formulas.
 
-Two families live here.  The ``*_halfdepth`` functions are the long-
-sequence approximations for an early prediction read at exactly half
-depth; they are normalized and depend only on the match probability and
-the sub-process count.  ``expected_latency`` / ``expected_total_compute``
-are the exact expectations for finite token counts, valid whenever the
-early layer sits at or past the midpoint of the network.
+Both families hold whenever the early prediction is read at or past the
+midpoint of the network (d/2 <= d_bar <= d), the regime every
+``DecodingConfig`` is in.  ``expected_latency`` and
+``expected_total_compute`` are the exact expectations for a finite token
+count ell.  ``tradeoff_point`` is their long-sequence limit (ell >> 1),
+normalized by depth; it depends on d and d_bar only through the window
+ratio r = d / (d - d_bar), which is 2 at half depth.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .core import DecodingConfig, DomainError, check_p, require_p
-
-
-def per_token_latency_halfdepth(p_correct: float, d: int) -> float:
-    """Per-token latency d*(1 - p/2): half-depth early layer, ell >> 1."""
-    p = check_p(p_correct)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    return d * (1.0 - p / 2.0)
-
-
-def avg_compute_per_time_unit_halfdepth(p_correct: float, k: int) -> float:
-    """Average busy compute units per time unit, (k+2-p)/(2-p)."""
-    p = check_p(p_correct)
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    return (k + 2.0 - p) / (2.0 - p)
-
-
-def avg_compute_per_token_halfdepth(p_correct: float, k: int) -> float:
-    """Compute spent per generated token, (2+k-p)/2, normalized by depth.
-
-    Equals per_token_latency_halfdepth(p, 1) *
-    avg_compute_per_time_unit_halfdepth(p, k) exactly.
-    """
-    p = check_p(p_correct)
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    return (2.0 + k - p) / 2.0
+from .core import DecodingConfig, require_p
 
 
 def expected_latency(config: DecodingConfig) -> float:
@@ -66,6 +38,29 @@ class TradeoffRow:
     compute_per_token: float
 
 
+def tradeoff_point(config: DecodingConfig) -> TradeoffRow:
+    """The long-sequence trade-off at the config's p; ``ell`` does not enter.
+
+    With r = d / (d - d_bar): per-token latency d*(1 - p/r) (divided by d
+    here), compute per time unit (k+r-p)/(r-p) and compute per token
+    (r+k-p)/r, the limits of the exact expectations over ell as ell grows.
+    At d_bar = d there is no speculation window and all three are 1.
+    """
+    p, d, k = require_p(config), config.d, config.k
+    if config.d_bar == d:
+        return TradeoffRow(k, p, 1.0, 1.0, 1.0)
+    # this operation order makes r exactly 2.0 at half depth, so the values there
+    # are bit-identical to the half-depth forms d*(1-p/2), (k+2-p)/(2-p), (2+k-p)/2
+    r = d / (d - config.d_bar)
+    return TradeoffRow(
+        k=k,
+        p_correct=p,
+        latency_per_token_norm=d * (1.0 - p / r) / d,
+        compute_per_time_unit=(k + r - p) / (r - p),
+        compute_per_token=(r + k - p) / r,
+    )
+
+
 def tradeoff_sweep(
     d: int,
     d_bar: int,
@@ -73,28 +68,14 @@ def tradeoff_sweep(
     k_values: list[int],
     p_values: list[float],
 ) -> list[TradeoffRow]:
-    """Evaluate the half-depth trade-off metrics over a (k, p) grid.
+    """``tradeoff_point`` over a (k, p) grid.
 
     A config is built for every (d, d_bar, k, ell, p) combination up
     front, so any invalid combination aborts the whole sweep.
     Rows are ordered by k, then by p in the given order.
     """
-    for k in k_values:
-        for p in p_values:
-            DecodingConfig(d, d_bar, k, ell, p)
-    rows = []
-    for k in k_values:
-        for p in p_values:
-            rows.append(
-                TradeoffRow(
-                    k=k,
-                    p_correct=float(p),
-                    latency_per_token_norm=per_token_latency_halfdepth(p, d) / d,
-                    compute_per_time_unit=avg_compute_per_time_unit_halfdepth(p, k),
-                    compute_per_token=avg_compute_per_token_halfdepth(p, k),
-                )
-            )
-    return rows
+    configs = [DecodingConfig(d, d_bar, k, ell, p) for k in k_values for p in p_values]
+    return list(map(tradeoff_point, configs))
 
 
 SWEEP_CSV_HEADER = "k,p_correct,latency_per_token_norm,compute_per_time_unit,compute_per_token"
@@ -108,7 +89,3 @@ def sweep_to_csv(rows: list[TradeoffRow]) -> str:
             f"{r.compute_per_time_unit!r},{r.compute_per_token!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def sweep_to_json(rows: list[TradeoffRow]) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=2) + "\n"

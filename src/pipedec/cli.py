@@ -89,7 +89,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     latency = analytic.expected_latency(config)
     compute = analytic.expected_total_compute(config)
     report = LatencyComputeReport.from_totals(latency, compute, config.ell)
-    halfdepth = 2 * config.d_bar == config.d
+    point = analytic.tradeoff_point(config)
     fields: dict = {
         "d": config.d,
         "d_bar": config.d_bar,
@@ -101,16 +101,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "per_token_latency": report.per_token_latency,
         "avg_compute_per_time_unit": report.avg_compute_per_time_unit,
         "avg_compute_per_token": report.avg_compute_per_token,
+        "latency_per_token_norm": point.latency_per_token_norm,
+        "compute_per_time_unit": point.compute_per_time_unit,
+        "compute_per_token": point.compute_per_token,
     }
-    if halfdepth:
-        p = config.p_correct
-        fields["latency_per_token_norm"] = (
-            analytic.per_token_latency_halfdepth(p, config.d) / config.d
-        )
-        fields["compute_per_time_unit"] = analytic.avg_compute_per_time_unit_halfdepth(
-            p, config.k
-        )
-        fields["compute_per_token"] = analytic.avg_compute_per_token_halfdepth(p, config.k)
     if args.format == "json":
         sys.stdout.write(json.dumps(fields, indent=2) + "\n")
     else:

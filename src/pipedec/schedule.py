@@ -205,18 +205,16 @@ def svg_gantt(timeline: ScheduleTimeline) -> str:
     for pid in range(k + 1):
         y = top + pid * ROW_HEIGHT
         body.append(svgout.text(6, y + ROW_HEIGHT - 6, f"P{pid}", size=11))
-    bars = _columns(timeline.events, "process_id,t_start,t_end,discarded")
-    for pid, t_start, t_end, discarded in bars:
-        x = left + t_start * PX_PER_UNIT
-        y = top + pid * ROW_HEIGHT + 2
-        w = (t_end - t_start) * PX_PER_UNIT
-        if discarded:
-            fill = "#cc6677"
-        elif pid == 0:
-            fill = "#4477aa"
-        else:
-            fill = "#66ccee"
-        body.append(svgout.rect(x, y, w, ROW_HEIGHT - 4, fill, stroke="#ffffff"))
+    events = timeline.events
+    pid = events.process_id
+    body += svgout.int_rects(
+        left + events.t_start * PX_PER_UNIT,
+        top + pid * ROW_HEIGHT + 2,
+        (events.t_end - events.t_start) * PX_PER_UNIT,
+        ROW_HEIGHT - 4,
+        np.where(events.discarded, "#cc6677", np.where(pid == 0, "#4477aa", "#66ccee")),
+        stroke="#ffffff",
+    )
     axis_y = top + (k + 1) * ROW_HEIGHT + 6
     body.append(svgout.line(left, axis_y, left + span * PX_PER_UNIT, axis_y))
     step = max(1, span // 10)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 SERIES_COLORS = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377", "#bbbbbb")
 
 
@@ -18,6 +20,18 @@ def rect(x: float, y: float, w: float, h: float, fill: str, stroke: str = "none"
         f'<rect x="{x:.1f}" y="{y:.1f}" width="{w:.1f}" height="{h:.1f}" '
         f'fill="{fill}" stroke="{stroke}"/>'
     )
+
+
+def int_rects(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, h: int, fills: np.ndarray,
+              stroke: str = "none") -> list[str]:
+    """``rect`` for each row of integer coordinate columns, one fill per row.
+
+    For an int, f"{x}.0" is the text of f"{x:.1f}" and much faster to build.
+    """
+    return [
+        f'<rect x="{x}.0" y="{y}.0" width="{w}.0" height="{h}.0" fill="{fill}" stroke="{stroke}"/>'
+        for x, y, w, fill in zip(xs.tolist(), ys.tolist(), ws.tolist(), fills.tolist())
+    ]
 
 
 def line(x1: float, y1: float, x2: float, y2: float, stroke: str = "#333333") -> str:

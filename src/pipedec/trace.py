@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import (
-    avg_compute_per_time_unit_halfdepth,
-    avg_compute_per_token_halfdepth,
-    expected_latency,
-    expected_total_compute,
-    per_token_latency_halfdepth,
-)
+from .analytic import expected_latency, expected_total_compute, tradeoff_point
 from .core import DecodingConfig, DomainError, LatencyComputeReport, check_p
 from .rng import Stream
 from .tracetable import (  # noqa: F401  (re-exported: the trace API is one import)
@@ -123,8 +117,8 @@ class TraceForecast:
     ``report`` evaluates the exact expectations at p_hat; the *_range
     pairs re-evaluate them at both interval endpoints (latency falls as
     the match rate rises, so ranges are returned low-to-high).  The last
-    three fields are the half-depth closed forms at p_hat; they hold only
-    for an early layer at exactly half depth and are None at any other.
+    three fields are ``analytic.tradeoff_point`` at p_hat: the long-
+    sequence trade-off, which holds at every d_bar in [d/2, d].
     """
 
     k: int
@@ -133,9 +127,9 @@ class TraceForecast:
     report: LatencyComputeReport
     latency_range: tuple[float, float]
     compute_range: tuple[float, float]
-    latency_per_token_norm: float | None
-    compute_per_time_unit: float | None
-    compute_per_token: float | None
+    latency_per_token_norm: float
+    compute_per_time_unit: float
+    compute_per_token: float
 
 
 def forecast_from_trace(table: TraceTable, k: int, d: int, d_bar: int, ell: int) -> TraceForecast:
@@ -143,7 +137,7 @@ def forecast_from_trace(table: TraceTable, k: int, d: int, d_bar: int, ell: int)
     rate = match_rate(table, k)
     lo_p, hi_p = rate.ci95
     at_hat, at_lo, at_hi = (DecodingConfig(d, d_bar, k, ell, p) for p in (rate.p_hat, lo_p, hi_p))
-    hat, halfdepth = rate.p_hat, 2 * d_bar == d
+    point = tradeoff_point(at_hat)
     return TraceForecast(
         k=k,
         p_hat=rate.p_hat,
@@ -153,9 +147,9 @@ def forecast_from_trace(table: TraceTable, k: int, d: int, d_bar: int, ell: int)
         ),
         latency_range=(expected_latency(at_hi), expected_latency(at_lo)),
         compute_range=(expected_total_compute(at_hi), expected_total_compute(at_lo)),
-        latency_per_token_norm=per_token_latency_halfdepth(hat, d) / d if halfdepth else None,
-        compute_per_time_unit=avg_compute_per_time_unit_halfdepth(hat, k) if halfdepth else None,
-        compute_per_token=avg_compute_per_token_halfdepth(hat, k) if halfdepth else None,
+        latency_per_token_norm=point.latency_per_token_norm,
+        compute_per_time_unit=point.compute_per_time_unit,
+        compute_per_token=point.compute_per_token,
     )
 
 

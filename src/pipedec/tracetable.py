@@ -41,9 +41,14 @@ class ParseError(DomainError):
 
 
 def _column(values, name: str) -> np.ndarray:
-    """A read-only int64 (bool for ``layer_absent``) copy; other element kinds are rejected."""
+    """A read-only int64 (bool for ``layer_absent``) column; other element kinds are rejected.
+
+    A read-only array that owns its data, as the loader hands over, is used as it is;
+    anything else is copied, so a writable array is never aliased or made read-only.
+    """
     dtype, kinds = (bool, "b") if name == "layer_absent" else (np.int64, "iu")
-    col = np.array(values)
+    owned = isinstance(values, np.ndarray) and not values.flags.writeable and values.base is None
+    col = values if owned else np.array(values)
     if col.size and col.dtype.kind not in kinds:
         raise DomainError(f"{name} must hold {np.dtype(dtype).name} values, got {col.dtype}")
     if col.size and col.dtype.kind == "u" and int(col.max()) > _INT64_MAX:
@@ -221,18 +226,19 @@ def _table_from_rows(
     )
     index: dict[str, int] = {}
     codes = [index.setdefault(s, len(index)) for s in ids]
-    # the values are typed already, so the constructor gets arrays it need not check again
-    table = TraceTable(
-        example_ids=tuple(index),
+    columns = dict(
         example_code=np.array(codes, np.int64),
         position=np.array(positions, np.int64),
         topk=topk,
         topk_len=lens,
         final=np.array(finals, np.int64),
         layer=np.array([0 if v is None else v for v in layers], np.int64),
-        layer_absent=[v is None for v in layers],
-        line_nos=line_nos,
+        layer_absent=np.array([v is None for v in layers], bool),
     )
+    # read-only, so that the constructor takes these arrays over instead of copying them
+    for col in columns.values():
+        col.setflags(write=False)
+    table = TraceTable(example_ids=tuple(index), line_nos=line_nos, **columns)
     if fault is not None:
         raise fault
     return table
@@ -273,8 +279,12 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeError as exc:
+                    # a lone surrogate from a text stream fails the encode, whose start
+                    # counts characters; report the byte offset of the bad character
+                    byte = exc.start if isinstance(exc, UnicodeDecodeError) else len(
+                        line[: exc.start].encode("utf-8", "surrogateescape"))
                     raise ParseError(line_no, f"not valid UTF-8 (utf-8 codec: {exc.reason} "
-                                              f"at byte {exc.start + 1})") from None
+                                              f"at byte {byte + 1})") from None
             line = line.strip()
             if not line:
                 continue

@@ -208,12 +208,10 @@ def test_criterion_6_end_to_end_pipe() -> None:
     forecast_ok = (
         fc.report.total_latency == pytest.approx(analytic.expected_latency(cfg), rel=rel)
         and fc.report.total_compute == pytest.approx(analytic.expected_total_compute(cfg), rel=rel)
-        and fc.latency_per_token_norm
-        == pytest.approx(analytic.per_token_latency_halfdepth(report.p_hat, 40) / 40, rel=rel)
+        and fc.latency_per_token_norm == pytest.approx(1.0 - report.p_hat / 2.0, rel=rel)
         and fc.compute_per_time_unit
-        == pytest.approx(analytic.avg_compute_per_time_unit_halfdepth(report.p_hat, 3), rel=rel)
-        and fc.compute_per_token
-        == pytest.approx(analytic.avg_compute_per_token_halfdepth(report.p_hat, 3), rel=rel)
+        == pytest.approx((5.0 - report.p_hat) / (2.0 - report.p_hat), rel=rel)
+        and fc.compute_per_token == pytest.approx((5.0 - report.p_hat) / 2.0, rel=rel)
     )
     ok = exact_rate_ok and forecast_ok
     _line(ok, 6, f"emit_trace -> match_rate exact (p_hat={report.p_hat:.4f}), "

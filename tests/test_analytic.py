@@ -1,54 +1,87 @@
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pipedec.analytic import (
     SWEEP_CSV_HEADER,
-    avg_compute_per_time_unit_halfdepth,
-    avg_compute_per_token_halfdepth,
     expected_latency,
     expected_total_compute,
-    per_token_latency_halfdepth,
     sweep_to_csv,
-    sweep_to_json,
+    tradeoff_point,
     tradeoff_sweep,
 )
 from pipedec.core import DecodingConfig, DomainError
 
 
+def _halfdepth_forms(d: int, k: int, p: float) -> tuple[float, float, float]:
+    """The three half-depth closed forms, as written before ``tradeoff_point`` replaced them."""
+    return (d * (1.0 - p / 2.0) / d, (k + 2.0 - p) / (2.0 - p), (2.0 + k - p) / 2.0)
+
+
+def _point(d: int, d_bar: int, k: int, p: float) -> tuple[float, float, float]:
+    row = tradeoff_point(DecodingConfig(d, d_bar, k, 1, p))
+    assert (row.k, row.p_correct) == (k, p)
+    return row.latency_per_token_norm, row.compute_per_time_unit, row.compute_per_token
+
+
+@settings(max_examples=500)
+@given(
+    d_bar=st.integers(1, 10_000),
+    k=st.integers(0, 64),
+    p=st.floats(0.0, 1.0, allow_nan=False),
+)
+@example(d_bar=1, k=0, p=0.0)
+@example(d_bar=20, k=0, p=1.0)
+@example(d_bar=7, k=3, p=1.0)
+def test_tradeoff_point_equals_halfdepth_forms_bit_for_bit(d_bar: int, k: int, p: float) -> None:
+    assert _point(2 * d_bar, d_bar, k, p) == _halfdepth_forms(2 * d_bar, k, p)
+
+
 def test_per_token_latency_halfdepth_values() -> None:
-    assert per_token_latency_halfdepth(0.7415, 1) == pytest.approx(0.62925, abs=1e-12)
-    assert per_token_latency_halfdepth(0.0, 40) == 40
-    assert per_token_latency_halfdepth(1.0, 40) == 20
-    with pytest.raises(DomainError):
-        per_token_latency_halfdepth(1.2, 40)
+    assert _point(2, 1, 0, 0.7415)[0] == pytest.approx(0.62925, abs=1e-12)
+    assert _point(40, 20, 3, 0.0)[0] == 1.0
+    assert _point(40, 20, 3, 1.0)[0] == 0.5
 
 
 def test_avg_compute_per_time_unit_values() -> None:
-    value = avg_compute_per_time_unit_halfdepth(0.6837, 3)
+    value = _point(40, 20, 3, 0.6837)[1]
     assert value == pytest.approx(3.2791, abs=1e-4)
     # one-decimal truncation of this value is 3.2
     assert math.floor(value * 10) / 10 == 3.2
-    assert avg_compute_per_time_unit_halfdepth(1.0, 3) == 4
-    assert avg_compute_per_time_unit_halfdepth(0.0, 3) == 2.5
-    with pytest.raises(DomainError):
-        avg_compute_per_time_unit_halfdepth(-0.5, 3)
+    assert _point(40, 20, 3, 1.0)[1] == 4
+    assert _point(40, 20, 3, 0.0)[1] == 2.5
+    # r = 40 / (40 - 30) = 4: (3 + 4 - 0.5) / (4 - 0.5)
+    assert _point(40, 30, 3, 0.5)[1] == 6.5 / 3.5
 
 
 def test_avg_compute_per_token_values() -> None:
-    assert avg_compute_per_token_halfdepth(0.6837, 3) == pytest.approx(2.15815, abs=1e-9)
-    assert avg_compute_per_token_halfdepth(1.0, 0) == 0.5
-    assert avg_compute_per_token_halfdepth(0.0, 0) == 1.0
+    assert _point(40, 20, 3, 0.6837)[2] == pytest.approx(2.15815, abs=1e-9)
+    assert _point(40, 20, 0, 1.0)[2] == 0.5
+    assert _point(40, 20, 0, 0.0)[2] == 1.0
+    assert _point(40, 30, 3, 0.5)[2] == 1.625
 
 
 def test_product_identity_of_halfdepth_forms() -> None:
-    for p in (0.0, 0.05, 0.2163, 0.5, 0.6837, 0.9, 1.0):
-        for k in (0, 1, 3, 5, 8):
-            product = per_token_latency_halfdepth(p, 1) * avg_compute_per_time_unit_halfdepth(p, k)
-            assert product == pytest.approx(avg_compute_per_token_halfdepth(p, k), rel=1e-12)
+    # latency per token x compute per time unit = compute per token, at every d_bar
+    for d_bar in (20, 25, 30, 39, 40):
+        for p in (0.0, 0.05, 0.2163, 0.5, 0.6837, 0.9, 1.0):
+            for k in (0, 1, 3, 5, 8):
+                latency, per_unit, per_token = _point(40, d_bar, k, p)
+                assert latency * per_unit == pytest.approx(per_token, rel=1e-12)
+
+
+def test_tradeoff_point_without_a_window_is_sequential() -> None:
+    for d, k, p in ((1, 0, 0.0), (40, 3, 0.5), (40, 8, 1.0), (7, 1, 0.25)):
+        assert _point(d, d, k, p) == (1.0, 1.0, 1.0)
+
+
+def test_tradeoff_point_requires_p() -> None:
+    with pytest.raises(DomainError, match="p_correct"):
+        tradeoff_point(DecodingConfig(40, 20, 3, 128))
 
 
 def test_expected_latency_values() -> None:
@@ -85,15 +118,24 @@ def test_latency_monotone_in_match_probability() -> None:
     assert len(set(flat_single)) == 1
 
 
-def test_halfdepth_consistency_for_long_sequences() -> None:
-    # expected_latency/ell -> d*(1 - p/2) as ell grows, gap bounded by d/ell
+def test_tradeoff_point_is_the_long_sequence_limit() -> None:
+    # the exact per-token ratios approach tradeoff_point as ell grows; with
+    # r = d/(d-d_bar) >= 2 each gap is at most p*max(1, k)/ell
     for d in (8, 40):
-        for p in (0.1, 0.5, 0.9):
-            for ell in (10_000, 100_000):
-                exact = expected_latency(DecodingConfig(d, d // 2, 1, ell, p)) / ell
-                approx = per_token_latency_halfdepth(p, d)
-                bound = d * (d - d // 2) / ((d // 2) * ell)
-                assert abs(exact - approx) <= bound * (1 + 1e-6)
+        for d_bar in sorted({d // 2, d // 2 + 1, (3 * d) // 4, d - 1, d}):
+            for k in (0, 3):
+                for p in (0.1, 0.5, 0.9, 1.0):
+                    point = _point(d, d_bar, k, p)
+                    for ell in (10_000, 100_000, 1_000_000):
+                        cfg = DecodingConfig(d, d_bar, k, ell, p)
+                        latency, compute = expected_latency(cfg), expected_total_compute(cfg)
+                        exact = (latency / (ell * d), compute / latency, compute / (ell * d))
+                        for got, limit in zip(exact, point):
+                            assert abs(got - limit) <= p * max(1, k) / ell * (1 + 1e-6)
+    # at d_bar = 30 the half-depth value 0.75 is not the limit
+    cfg = DecodingConfig(40, 30, 3, 1_000_000, 0.5)
+    assert expected_latency(cfg) / (1_000_000 * 40) == pytest.approx(0.875000125, abs=1e-12)
+    assert _point(40, 30, 3, 0.5)[0] == 0.875
 
 
 def test_sweep_reproduces_reference_endpoints() -> None:
@@ -103,6 +145,12 @@ def test_sweep_reproduces_reference_endpoints() -> None:
     assert rows[0].compute_per_time_unit == pytest.approx(1.5606, abs=1e-4)
     rows = tradeoff_sweep(40, 20, 128, [5], [0.7415])
     assert rows[0].compute_per_time_unit == pytest.approx(4.9730, abs=1e-4)
+
+
+def test_sweep_is_tradeoff_point_off_half_depth() -> None:
+    rows = tradeoff_sweep(40, 30, 128, [3], [0.5])
+    assert rows == [tradeoff_point(DecodingConfig(40, 30, 3, 128, 0.5))]
+    assert (rows[0].latency_per_token_norm, rows[0].compute_per_token) == (0.875, 1.625)
 
 
 def test_sweep_ordering_and_empty_grid() -> None:
@@ -125,9 +173,3 @@ def test_sweep_serialization() -> None:
     assert lines[0] == SWEEP_CSV_HEADER
     assert len(lines) == 3
     assert lines[1].startswith("1,0.25,")
-    parsed = json.loads(sweep_to_json(rows))
-    assert parsed[0]["k"] == 1
-    assert parsed[0]["p_correct"] == 0.25
-    assert set(parsed[0]) == {
-        "k", "p_correct", "latency_per_token_norm", "compute_per_time_unit", "compute_per_token",
-    }

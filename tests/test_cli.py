@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -19,11 +20,42 @@ def test_analyze_reports_normalized_latency(capsys) -> None:
     assert payload["expected_latency"] == pytest.approx(40 * 128 - 20 * 127 * 0.6837)
 
 
-def test_analyze_halfdepth_block_only_at_mid_layer(capsys) -> None:
+def test_analyze_reports_tradeoff_at_every_layer(capsys) -> None:
     assert main(["analyze", "--d", "40", "--dbar", "30", "--k", "3", "--l", "8", "--p", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert "latency_per_token_norm" not in payload
+    # the long-sequence values at r = 40 / (40 - 30) = 4
+    assert payload["latency_per_token_norm"] == 0.875
+    assert payload["compute_per_time_unit"] == 6.5 / 3.5
+    assert payload["compute_per_token"] == 1.625
     assert payload["expected_latency"] == 40 * 8 - 10 * 7 * 0.5
+
+
+# sha256 of the half-depth outputs, taken from the closed forms d*(1-p/2), (k+2-p)/(2-p) and
+# (2+k-p)/2 these outputs were defined by
+SWEEP = ["sweep", "--d", "40", "--dbar", "20", "--l", "128", "--k-list", "1,3,5",
+         "--p-from", "0.05", "--p-to", "0.95", "--p-steps", "19"]
+PINNED = [
+    (ANALYZE, None, "2749325bfe9d483da8146cff2146b807c6df38264911b7bfa62f65b9e88c91f8"),
+    (ANALYZE + ["--format", "csv"], None,
+     "9812ce43de6fd79d5d98158517f4ad32220c98368b514c071a7cd5cfb7f27397"),
+    (SWEEP, None, "b841f49d8fe3c43e61d291c92bab0b0c354627a99e30ae03aec473106f01ed0d"),
+    (SWEEP, "svg", "9bb1149970ef053703250c4f94ea262ca6a06b9a13deeac7b8fd49f43497186b"),
+]
+
+
+@pytest.mark.parametrize("argv, artifact, digest", PINNED,
+                         ids=["analyze_json", "analyze_csv", "sweep_csv", "sweep_svg"])
+def test_halfdepth_outputs_are_pinned(argv, artifact, digest, tmp_path, capsys) -> None:
+    svg = tmp_path / "curve.svg"
+    assert main(argv + ["--svg", str(svg)] if artifact else argv) == 0
+    out = svg.read_text(encoding="utf-8") if artifact else capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_sweep_off_half_depth_is_the_long_sequence_limit(capsys) -> None:
+    assert main(["sweep", "--d", "40", "--dbar", "30", "--l", "128",
+                 "--k-list", "3", "--p-list", "0.5"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "3,0.5,0.875,1.8571428571428572,1.625"
 
 
 def test_analyze_rejects_bad_probability(capsys) -> None:

@@ -8,11 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from pipedec.analytic import (
-    avg_compute_per_time_unit_halfdepth,
-    avg_compute_per_token_halfdepth,
-    per_token_latency_halfdepth,
-)
+from pipedec import tracetable
 from pipedec.core import DomainError
 from pipedec.trace import (
     MatchRateReport,
@@ -161,14 +157,18 @@ def test_forecast_matches_reference_tradeoff_point() -> None:
     assert fc.latency_per_token_norm == pytest.approx(0.658, abs=0.003)
     assert fc.compute_per_time_unit == pytest.approx(3.28, abs=0.02)
     assert fc.report.total_latency == pytest.approx(40 * 128 - 20 * 127 * fc.p_hat, rel=1e-12)
+    # the half-depth forms d*(1-p/2)/d, (k+2-p)/(2-p) and (2+k-p)/2
+    hat = fc.p_hat
     assert (fc.latency_per_token_norm, fc.compute_per_time_unit, fc.compute_per_token) == (
-        per_token_latency_halfdepth(fc.p_hat, 40) / 40,
-        avg_compute_per_time_unit_halfdepth(fc.p_hat, 3),
-        avg_compute_per_token_halfdepth(fc.p_hat, 3),
+        40 * (1.0 - hat / 2.0) / 40, (3 + 2.0 - hat) / (2.0 - hat), (2.0 + 3 - hat) / 2.0,
     )
-    # the half-depth closed forms do not describe an early layer past half depth
+    # past half depth the window ratio is r = 40 / (40 - 30) = 4
     off = forecast_from_trace(records, k=3, d=40, d_bar=30, ell=128)
-    assert off.latency_per_token_norm is off.compute_per_time_unit is off.compute_per_token is None
+    hat = off.p_hat
+    assert (off.latency_per_token_norm, off.compute_per_time_unit, off.compute_per_token) == (
+        40 * (1.0 - hat / 4.0) / 40, (3 + 4.0 - hat) / (4.0 - hat), (4.0 + 3 - hat) / 4.0,
+    )
+    assert off.latency_per_token_norm == pytest.approx(1 - 0.6837 / 4, abs=0.002)
     assert off.report.total_latency == pytest.approx(40 * 128 - 10 * 127 * off.p_hat, rel=1e-12)
 
 
@@ -437,3 +437,42 @@ def test_reports_carry_python_scalars() -> None:
     assert {type(f) for f in fields} <= {int, float}
     assert "np." not in report_to_csv(report)
     json.loads(report_to_json(report))
+
+
+def test_table_adopts_only_read_only_arrays_it_may_own() -> None:
+    mine = np.array([1], np.int64)
+    table = TraceTable(**{**GOOD_COLUMNS, "position": mine})
+    # a writable array is copied, and stays writable
+    assert mine.flags.writeable and not np.shares_memory(mine, table.position)
+    assert not table.position.flags.writeable
+    frozen = np.array([1], np.int64)
+    frozen.setflags(write=False)
+    assert TraceTable(**{**GOOD_COLUMNS, "position": frozen}).position is frozen
+    # an adopted array goes through the same type checks
+    beyond = np.array([2**63], np.uint64)
+    beyond.setflags(write=False)
+    with pytest.raises(DomainError, match="^final must hold int64 values"):
+        TraceTable(**{**GOOD_COLUMNS, "final": beyond})
+
+
+def test_loader_hands_its_columns_over_without_a_copy(monkeypatch) -> None:
+    adopted = {}
+
+    def spy(values, name):
+        column = real(values, name)
+        adopted[name] = column is values
+        return column
+
+    real = tracetable._column
+    monkeypatch.setattr(tracetable, "_column", spy)
+    load_traces(io.StringIO(GOOD_LINE + "\n"))
+    assert adopted == dict.fromkeys(
+        ("example_code", "position", "topk", "topk_len", "final", "layer", "layer_absent"), True)
+
+
+def test_lone_surrogate_in_a_stream_reports_its_byte_offset() -> None:
+    # 'é' is two bytes in UTF-8, so the surrogate at character 17 starts at byte 19
+    line = GOOD_LINE.replace('"a"', '"é\ud800"')
+    assert line.index("\ud800") == 17
+    with pytest.raises(ParseError, match=r"line 1: not valid UTF-8 .*at byte 19\)"):
+        load_traces(io.StringIO(line + "\n"))
