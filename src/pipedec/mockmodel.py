@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DecodingConfig, DomainError, MatchSequence, closed_form_totals
-from .rng import mix64, mix64_np, stream_key
+from .rng import GOLDEN, mix64, mix64_np, stream_key
 from .tracetable import TraceTable
 
 EOS_TOKEN = 0
@@ -98,24 +98,32 @@ def forward_layer(
 
 
 def _layer_keys(model: MockModel) -> tuple[int, ...]:
-    """The key of layer j at index j, for j = 0..d (index 0 belongs to no layer)."""
+    """Layer j's key plus mix64's GOLDEN step, at index j for j = 0..d (0 is no layer)."""
     base = _layer_base(model)
-    return tuple(mix64(base ^ j) for j in range(model.depth + 1))
+    return tuple((mix64(base ^ j) + GOLDEN) & _MASK64 for j in range(model.depth + 1))
 
 
 def _chain(keys: tuple[int, ...], value: int, digest: int, lo_layer: int, hi_layer: int) -> int:
-    """Run layers lo..hi (inclusive) starting from ``value``; equals repeated forward_layer."""
+    """Run layers lo..hi (inclusive) starting from ``value``; equals repeated forward_layer.
+
+    A layer is ``mix64(value + key + digest)`` written out: the ``+GOLDEN``
+    is already in ``keys`` and the rest is rng.mix64's finalizer, so no call.
+    """
     for key in keys[lo_layer : hi_layer + 1]:
-        # mix64 reduces its argument mod 2**64 first, so the sum needs no mask
-        value = mix64(value + key + digest)
+        z = (value + key + digest) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        value = z ^ (z >> 31)
     return value
 
 
 def _scorer(model: MockModel):
-    """Both classifiers' scoring: a hidden value to one uint64 score per vocabulary id."""
+    """Both classifiers' scoring: n hidden values to an (n, V) uint64 score matrix, one pass."""
     ids = np.arange(model.vocab_size, dtype=np.uint64)
     base = mix64((model.seed & _MASK64) ^ _SCORE_TAG)
-    return lambda hidden_value: mix64_np(np.uint64((hidden_value ^ base) & _MASK64) ^ ids)
+    return lambda *hidden_values: mix64_np(
+        np.array([(h ^ base) & _MASK64 for h in hidden_values], np.uint64)[:, None] ^ ids
+    )
 
 
 def _top_k(scores: np.ndarray, k: int) -> list[int]:
@@ -138,12 +146,12 @@ def early_topk(model: MockModel, hidden_at_dbar: HiddenState, k: int) -> list[in
     """The k highest-scoring token ids, best first (scores never tie; see _top_k)."""
     if not (1 <= k <= model.vocab_size):
         raise DomainError(f"k must lie in [1, vocab_size], got k={k}, vocab={model.vocab_size}")
-    return _top_k(_scorer(model)(hidden_at_dbar.value), k)
+    return _top_k(_scorer(model)(hidden_at_dbar.value)[0], k)
 
 
 def final_token(model: MockModel, hidden_at_d: HiddenState) -> int:
     """Greedy pick from the final-layer state; same scorer as early_topk."""
-    return int(_scorer(model)(hidden_at_d.value).argmax())
+    return int(_scorer(model)(hidden_at_d.value)[0].argmax())
 
 
 def _bias_rule(model: MockModel):
@@ -164,7 +172,7 @@ def decode_sequential(model: MockModel, prompt: Sequence[int], ell: int) -> Deco
     digest = prefix_digest(model, prompt)
     tokens: list[int] = []
     for _ in range(ell):
-        tok = int(scores(_chain(keys, digest, digest, 1, model.depth)).argmax())
+        tok = int(scores(_chain(keys, digest, digest, 1, model.depth))[0].argmax())
         tokens.append(tok)
         if model.eos_enabled and tok == EOS_TOKEN:
             break
@@ -216,16 +224,20 @@ def decode_ppd(
             h_dbar = _chain(keys, handoff, digest, window + 1, d_bar)
             main_layers += d_bar
         h_d = _chain(keys, h_dbar, digest, d_bar + 1, d)
-        final_scores = scores(h_d)
-        # at a bias hit the early ranking reads h_d, whose scores are already at hand
-        cands = _top_k(final_scores if bias_hit(position) else scores(h_dbar), k)
+        if bias_hit(position):
+            # the early ranking reads h_d, and its best id is the final token
+            cands = _top_k(scores(h_d)[0], k)
+            final = cands[0]
+        else:
+            final_scores, early_scores = scores(h_d, h_dbar)
+            cands = _top_k(early_scores, k)
+            final = int(final_scores.argmax())
 
         # layer-window states of the next position, one per candidate token
         sub_digests = [extend_digest(model, digest, c) for c in cands]
         sub_states = [_chain(keys, s, s, 1, window) for s in sub_digests]
         spec_layers += k * window
 
-        final = int(final_scores.argmax())
         tokens.append(final)
         matched = final in cands
         match_bits.append(matched)

@@ -22,6 +22,9 @@ _MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 _U = np.uint64
+# mix64's constants as uint64 scalars, built once for the vectorized mixers
+_GOLDEN_U, _M1, _M2 = _U(GOLDEN), _U(0xBF58476D1CE4E5B9), _U(0x94D049BB133111EB)
+_S27, _S30, _S31 = _U(27), _U(30), _U(31)
 
 
 def mix64(z: int) -> int:
@@ -32,12 +35,25 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _finalize(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """mix64 after its ``+GOLDEN`` step, in place on ``z``; ``t`` is a scratch array like it."""
+    for shift, mult in ((_S30, _M1), (_S27, _M2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
+
+
 def mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorized ``mix64`` over a uint64 array; bit-identical to the scalar."""
-    z = z + _U(GOLDEN)
-    z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
-    return z ^ (z >> _U(31))
+    """Vectorized ``mix64`` over a uint64 array; bit-identical to the scalar.
+
+    The add makes a fresh result array and the finalizer runs in place on
+    it with one temporary, so ``z`` itself is never written.
+    """
+    z = z + _GOLDEN_U
+    return _finalize(z, np.empty_like(z))
 
 
 def stream_key(seed: int, stream: int = 0) -> int:
@@ -58,7 +74,7 @@ def counter_uniforms(key: int | np.ndarray, n: int) -> np.ndarray:
     ``key`` may be a scalar or an array of stream keys; an array key of
     shape (m,) yields an (m, n) matrix whose row j is stream j's draws.
     """
-    ctr = np.arange(1, n + 1, dtype=np.uint64) * _U(GOLDEN)
+    ctr = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN_U
     if np.isscalar(key) or isinstance(key, int):
         words = mix64_np(_U(int(key) & _MASK64) + ctr)
     else:
@@ -87,7 +103,7 @@ def counter_hits(keys: np.ndarray, n: int, p: float) -> np.ndarray:
     if n == 0:
         return hits
     threshold = _U(math.ceil(float(p) * 2.0 ** 53))
-    ctr = np.arange(2, n + 2, dtype=np.uint64) * _U(GOLDEN)
+    ctr = np.arange(2, n + 2, dtype=np.uint64) * _GOLDEN_U
     rows = max(1, _BLOCK_WORDS // n)
     z_buf = np.empty((min(rows, m), n), dtype=np.uint64)
     t_buf = np.empty_like(z_buf)
@@ -95,13 +111,7 @@ def counter_hits(keys: np.ndarray, n: int, p: float) -> np.ndarray:
         hi = min(lo + rows, m)
         z, t = z_buf[: hi - lo], t_buf[: hi - lo]
         np.add(keys[lo:hi, None], ctr, out=z)
-        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-            np.right_shift(z, _U(shift), out=t)
-            np.bitwise_xor(z, t, out=z)
-            np.multiply(z, _U(mult), out=z)
-        np.right_shift(z, _U(31), out=t)
-        np.bitwise_xor(z, t, out=z)
-        np.right_shift(z, _U(11), out=z)
+        np.right_shift(_finalize(z, t), _U(11), out=z)
         hits[lo:hi] = np.count_nonzero(z < threshold, axis=1)
     return hits
 

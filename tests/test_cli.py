@@ -58,6 +58,13 @@ def test_sweep_off_half_depth_is_the_long_sequence_limit(capsys) -> None:
     assert capsys.readouterr().out.split("\n")[1] == "3,0.5,0.875,1.8571428571428572,1.625"
 
 
+def test_sweep_without_l_prints_the_pinned_bytes(capsys) -> None:
+    # the limits do not depend on ell, so --l may be left out (a given --l is still range-checked)
+    assert main([arg for arg in SWEEP if arg not in ("--l", "128")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED[2][2]
+
+
 def test_analyze_rejects_bad_probability(capsys) -> None:
     assert main(["analyze", "--d", "40", "--dbar", "20", "--k", "3", "--l", "8", "--p", "1.2"]) == 2
     assert "p_correct" in capsys.readouterr().err

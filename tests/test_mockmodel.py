@@ -15,6 +15,8 @@ from pipedec.core import DomainError, MatchSequence
 from pipedec.mockmodel import (
     _BIAS_TAG,
     _SCORE_TAG,
+    _chain,
+    _layer_keys,
     EOS_TOKEN,
     DecodeResult,
     HiddenState,
@@ -68,6 +70,25 @@ def test_layer_chain_reproduces_decoder_hidden() -> None:
     for layer in range(1, model.depth + 1):
         h = forward_layer(model, h, layer, digest)
     assert decode_sequential(model, prompt, 1).tokens[0] == final_token(model, h)
+
+
+_WORDS = st.one_of(st.sampled_from((0, _MASK64)), st.integers(0, _MASK64))
+
+
+@settings(max_examples=80)
+@example(seed=0, depth=1, value=0, digest=0, lo=1, hi=1)
+@example(seed=_MASK64, depth=64, value=_MASK64, digest=_MASK64, lo=1, hi=64)
+@example(seed=3, depth=8, value=_MASK64, digest=0, lo=6, hi=5)  # empty range
+@given(seed=st.integers(0, _MASK64), depth=st.integers(1, 64), value=_WORDS, digest=_WORDS,
+       lo=st.integers(1, 64), hi=st.integers(0, 64))
+def test_chain_equals_repeated_forward_layer(seed, depth, value, digest, lo, hi) -> None:
+    # the inlined kernel against the public one-layer op, which calls the scalar mix64
+    model = MockModel(vocab_size=2, depth=depth, seed=seed)
+    lo, hi = min(lo, depth), min(hi, depth)
+    h = HiddenState(value)
+    for layer in range(lo, hi + 1):
+        h = forward_layer(model, h, layer, digest)
+    assert _chain(_layer_keys(model), value, digest, lo, hi) == h.value
 
 
 def test_early_topk_basics() -> None:
@@ -339,6 +360,9 @@ EDGE_CASES = {
     "ell_one": (MockModel(16, 8, 7), (3,), 1, 5, 2),
     "eos_first_token": (MockModel(2, 4, 0, eos_enabled=True), (1,), 8, 2, 1),
     "empty_prompt": (MockModel(16, 8, 9, bias=1.0), (), 10, 6, 3),
+    # the long-decode benchmark's shape: bias hits score one row, the other
+    # positions score h_d and h_dbar in one two-row pass; both occur here
+    "long_decode_shape": (MockModel(1024, 40, 20261018, bias=0.7), (5, 9, 1, 7), 48, 24, 3),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from pipedec.rng import (
     _BLOCK_WORDS,
+    GOLDEN,
     Stream,
     counter_hits,
     counter_uniforms,
@@ -16,12 +17,16 @@ from pipedec.rng import (
 
 
 def test_scalar_and_vector_mixers_agree() -> None:
-    probes = np.array(
-        [0, 1, 2, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64
-    )
-    vectored = mix64_np(probes)
-    for x, v in zip(probes, vectored):
-        assert mix64(int(x)) == int(v)
+    # words from 2**64 - GOLDEN up wrap in mix64's leading add
+    wrap = 2**64 - GOLDEN
+    words = [0, 1, 2, 2**32, 2**63, 2**64 - 1, GOLDEN, wrap - 1, wrap, wrap + 1]
+    probes = np.array(words + [int(w) for w in stream_keys(5, 14)], dtype=np.uint64)
+    for z in (probes, probes.reshape(4, 6), probes.reshape(4, 6).T):
+        before = z.copy()
+        vectored = mix64_np(z)
+        assert np.array_equal(z, before)  # the argument is never written
+        assert vectored.dtype == np.uint64 and vectored.shape == z.shape
+        assert vectored.ravel().tolist() == [mix64(int(x)) for x in z.flat]
 
 
 def test_stream_keys_match_scalar_derivation() -> None:
