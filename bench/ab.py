@@ -1,17 +1,17 @@
-"""A/B-run the benchmark: a base revision against the working tree, in alternating pairs.
+"""A/B-run the benchmark: a base revision against the committed working tree, in ten pairs.
 
     python3 bench/ab.py --base HEAD~1 --out BENCH_<n>.json
-    python3 bench/ab.py --base main --workload decode_long --pairs 10 --seeds 101-110 \\
-        --seconds 30 --out BENCH_<n>.json
+    python3 bench/ab.py --base main --seeds 101-110 --out BENCH_<n>.json
 
-Run from anywhere inside a git checkout.  ``--base REV`` is checked out
-into a temporary ``git worktree``, which is removed again when the script
-ends, however it ends.  For each workload and each pair i, the
-``BENCHMARK.json`` command (``perfbench/run.py --trace 0``) runs once in
-the base checkout and once in the working tree, with the same seed; the
-side that goes first alternates from pair to pair, so a drift in machine
-speed does not favour one side.  Uncommitted changes in the working tree
-are measured too, and the record notes that the tree was dirty.
+Run from anywhere inside a git checkout whose tracked files are all
+committed, so that the head commit names the code that is measured; the
+script refuses to run otherwise.  ``--base REV`` is checked out into a
+temporary ``git worktree``, which is removed again when the script ends,
+however it ends.  For every workload of ``BENCHMARK.json`` and each of
+``PAIRS`` pairs, its command (``perfbench/run.py --trace 0``, for its
+``run_seconds``) runs once in the base checkout and once in the working
+tree, with the same seed; the side that goes first alternates from pair
+to pair, so a drift in machine speed does not favour one side.
 
 One record is appended to the ``--out`` JSON file, which holds a list of
 records; records already in the file are kept as they are.  A record
@@ -37,6 +37,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+PAIRS = 10        # pairs per workload; fewer pairs never show a gain
 GAIN_SHARE = 0.9  # a gain is shown when the working tree wins at least this share of pairs
 
 
@@ -54,9 +55,9 @@ def summarize(base: list[float], head: list[float], better: str, bound: float) -
     of the median that the benchmark allows.  The verdict is the first of:
 
     * ``worse``: head's median is worse than base's by more than ``bound``;
-    * ``better``: head wins at least ``GAIN_SHARE`` of the pairs (ties
-      count for neither side) and the medians differ, in head's favour,
-      by more than base's interquartile range;
+    * ``better``: there are at least ``PAIRS`` pairs, head wins at least
+      ``GAIN_SHARE`` of them (ties count for neither side) and the medians
+      differ, in head's favour, by more than base's interquartile range;
     * ``unresolved``: either side's interquartile range exceeds ``bound``
       times its median, and not every head value beats every base value;
     * ``within bound``.
@@ -72,7 +73,8 @@ def summarize(base: list[float], head: list[float], better: str, bound: float) -
                  for q1, med, q3 in ((bq1, bmed, bq3), (hq1, hmed, hq3)))
     if sign * change > bound:
         verdict = "worse"
-    elif wins >= math.ceil(GAIN_SHARE * len(base)) and sign * (bmed - hmed) > bq3 - bq1:
+    elif (len(base) >= PAIRS and wins >= math.ceil(GAIN_SHARE * len(base))
+          and sign * (bmed - hmed) > bq3 - bq1):
         verdict = "better"
     elif spread > bound and not all(sign * (h - b) < 0 for h in head for b in base):
         verdict = "unresolved"
@@ -155,45 +157,37 @@ def _workload_record(bench: dict, runs: dict[str, list[dict]]) -> dict:
 def _seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     try:
-        seeds = list(range(int(first), int(last or first) + 1))
+        return list(range(int(first), int(last or first) + 1))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A-B, got {text!r}") from None
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
-    return seeds
 
 
 def main(argv: list[str] | None = None) -> int:
     root = Path(_git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", choices=names, action="append",
-                        help="repeatable; every workload of BENCHMARK.json if omitted")
-    parser.add_argument("--seeds", type=_seed_range, default=None,
-                        help="A-B: pair i runs seed A+i (default 1-PAIRS)")
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    parser.add_argument("--seeds", type=_seed_range, default=list(range(1, PAIRS + 1)),
+                        help=f"A-B, {PAIRS} seeds: pair i runs seed A+i (default 1-{PAIRS})")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to append to")
     args = parser.parse_args(argv)
-    seeds = args.seeds or list(range(1, args.pairs + 1))
-    if args.pairs < 1 or len(seeds) < args.pairs:
-        parser.error(f"--seeds must hold at least --pairs = {args.pairs} seeds")
-    seeds = seeds[: args.pairs]
+    if len(args.seeds) != PAIRS:
+        parser.error(f"--seeds must name {PAIRS} seeds, got {len(args.seeds)}")
     try:
         base_commit = _git(root, "rev-parse", "--verify", f"{args.base}^{{commit}}")
     except subprocess.CalledProcessError:
         parser.error(f"--base: unknown revision {args.base!r}")
+    if _git(root, "status", "--porcelain", "--untracked-files=no"):
+        parser.error("tracked files differ from HEAD; commit them so the record names the code")
 
+    seconds = bench["run_seconds"]
     record = {
         "started": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "machine": _machine(),
         "base": {"rev": args.base, "commit": base_commit},
-        "head": {"commit": _git(root, "rev-parse", "HEAD"),
-                 "dirty": bool(_git(root, "status", "--porcelain"))},
-        "command": bench["command"], "seconds": args.seconds, "seeds": seeds,
-        "first": ["base" if i % 2 == 0 else "head" for i in range(args.pairs)],
+        "head": {"commit": _git(root, "rev-parse", "HEAD")},
+        "command": bench["command"], "seconds": seconds, "seeds": args.seeds,
+        "first": ["base" if i % 2 == 0 else "head" for i in range(PAIRS)],
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
@@ -201,12 +195,12 @@ def main(argv: list[str] | None = None) -> int:
         _git(root, "worktree", "add", "--detach", str(base_tree), base_commit)
         try:
             trees = {"base": base_tree, "head": root}
-            for workload in args.workload or names:
+            for workload in (w["name"] for w in bench["workloads"]):
                 runs: dict[str, list[dict]] = {"base": [], "head": []}
-                for seed, first in zip(seeds, record["first"]):
+                for seed, first in zip(args.seeds, record["first"]):
                     for side in (first, "head" if first == "base" else "base"):
                         runs[side].append(_run_once(bench["command"], trees[side], workload,
-                                                    seed, args.seconds))
+                                                    seed, seconds))
                         print(f"{workload} seed {seed} {side}: "
                               f"wall_s {runs[side][-1]['metrics']['wall_s']['value']:.4g}",
                               file=sys.stderr, flush=True)

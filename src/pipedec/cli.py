@@ -128,9 +128,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             p_values = [args.p_from + span * i / (steps - 1) for i in range(steps)]
     else:
         raise DomainError("give either --p-list or --p-from/--p-to/--p-steps")
-    # the limits do not depend on ell; a given --l is still range-checked by the config
-    ell = 1 if args.l is None else args.l
-    rows = analytic.tradeoff_sweep(args.d, args.dbar, ell, args.k_list, p_values)
+    rows = analytic.tradeoff_sweep(args.d, args.dbar, args.l, args.k_list, p_values)
     _write_or_print(analytic.sweep_to_csv(rows), args.out)
     if args.svg is not None:
         if args.svg_y == "token":
@@ -243,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="trade-off curve over a (k, p) grid")
     p_sweep.add_argument("--d", type=int, required=True)
     p_sweep.add_argument("--dbar", type=int, required=True)
-    p_sweep.add_argument("--l", type=int, default=None, help="optional: the limits do not "
+    p_sweep.add_argument("--l", type=int, default=1, help="optional: the limits do not "
                          "depend on ell (a given value must still be >= 1)")
     p_sweep.add_argument("--k-list", type=_int_list, required=True, dest="k_list")
     p_sweep.add_argument("--p-list", type=_float_list, default=None, dest="p_list")

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DecodingConfig, DomainError, MatchSequence, closed_form_totals
-from .rng import GOLDEN, mix64, mix64_np, stream_key
+from .rng import golden_keys, mix64, mix64_chain, mix64_np, stream_key
 from .tracetable import TraceTable
 
 EOS_TOKEN = 0
@@ -98,23 +98,9 @@ def forward_layer(
 
 
 def _layer_keys(model: MockModel) -> tuple[int, ...]:
-    """Layer j's key plus mix64's GOLDEN step, at index j for j = 0..d (0 is no layer)."""
+    """Layer j's key at index j-1, for ``rng.mix64_chain``: layers lo..hi are ``keys[lo-1:hi]``."""
     base = _layer_base(model)
-    return tuple((mix64(base ^ j) + GOLDEN) & _MASK64 for j in range(model.depth + 1))
-
-
-def _chain(keys: tuple[int, ...], value: int, digest: int, lo_layer: int, hi_layer: int) -> int:
-    """Run layers lo..hi (inclusive) starting from ``value``; equals repeated forward_layer.
-
-    A layer is ``mix64(value + key + digest)`` written out: the ``+GOLDEN``
-    is already in ``keys`` and the rest is rng.mix64's finalizer, so no call.
-    """
-    for key in keys[lo_layer : hi_layer + 1]:
-        z = (value + key + digest) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        value = z ^ (z >> 31)
-    return value
+    return golden_keys(mix64(base ^ j) for j in range(1, model.depth + 1))
 
 
 def _scorer(model: MockModel):
@@ -172,7 +158,7 @@ def decode_sequential(model: MockModel, prompt: Sequence[int], ell: int) -> Deco
     digest = prefix_digest(model, prompt)
     tokens: list[int] = []
     for _ in range(ell):
-        tok = int(scores(_chain(keys, digest, digest, 1, model.depth))[0].argmax())
+        tok = int(scores(mix64_chain(keys, digest, digest))[0].argmax())
         tokens.append(tok)
         if model.eos_enabled and tok == EOS_TOKEN:
             break
@@ -218,12 +204,12 @@ def decode_ppd(
     handoff: int | None = None
     for position in range(len(prompt) + 1, len(prompt) + ell + 1):
         if handoff is None:
-            h_dbar = _chain(keys, digest, digest, 1, d_bar)
+            h_dbar = mix64_chain(keys[:d_bar], digest, digest)
             main_layers += d
         else:
-            h_dbar = _chain(keys, handoff, digest, window + 1, d_bar)
+            h_dbar = mix64_chain(keys[window:d_bar], handoff, digest)
             main_layers += d_bar
-        h_d = _chain(keys, h_dbar, digest, d_bar + 1, d)
+        h_d = mix64_chain(keys[d_bar:], h_dbar, digest)
         if bias_hit(position):
             # the early ranking reads h_d, and its best id is the final token
             cands = _top_k(scores(h_d)[0], k)
@@ -235,7 +221,7 @@ def decode_ppd(
 
         # layer-window states of the next position, one per candidate token
         sub_digests = [extend_digest(model, digest, c) for c in cands]
-        sub_states = [_chain(keys, s, s, 1, window) for s in sub_digests]
+        sub_states = [mix64_chain(keys[:window], s, s) for s in sub_digests]
         spec_layers += k * window
 
         tokens.append(final)

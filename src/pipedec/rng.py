@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,12 +47,27 @@ def _finalize(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorized ``mix64`` over a uint64 array; bit-identical to the scalar.
+def golden_keys(words: Iterable[int]) -> tuple[int, ...]:
+    """``mix64_chain``'s keys: each word with mix64's leading ``+GOLDEN`` added in."""
+    return tuple((w + GOLDEN) & _MASK64 for w in words)
 
-    The add makes a fresh result array and the finalizer runs in place on
-    it with one temporary, so ``z`` itself is never written.
+
+def mix64_chain(keys: Sequence[int], value: int, addend: int) -> int:
+    """``value = mix64(value + word + addend)`` for each word of ``golden_keys(words)``.
+
+    The add of mix64 is already in the key, and its finalizer is written
+    out in the loop in mix64's order, so a step makes no Python call.
     """
+    for key in keys:
+        z = (value + key + addend) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        value = z ^ (z >> 31)
+    return value
+
+
+def mix64_np(z: np.ndarray) -> np.ndarray:
+    """Vectorized ``mix64`` into a fresh uint64 array (``z`` is never written); bit-identical."""
     z = z + _GOLDEN_U
     return _finalize(z, np.empty_like(z))
 

@@ -34,6 +34,9 @@ CASES = {
     "wide_but_disjoint": (SPLIT, [1.9] * 10, "lower", "within bound", 10),
     "higher_is_better_gain": ([100.0 + i for i in range(10)], [130.0 + i for i in range(10)],
                               "higher", "better", 10),
+    # a gain needs ab.PAIRS pairs, however clear the fewer pairs look
+    "one_faster_pair": ([1.0], [0.5], "lower", "within bound", 1),
+    "three_faster_pairs": (BASE[:3], [0.5 * b for b in BASE[:3]], "lower", "within bound", 3),
     "higher_is_better_loss": ([100.0 + i for i in range(10)], [70.0 + i for i in range(10)],
                               "higher", "worse", 0),
 }
@@ -44,7 +47,8 @@ def test_summarize_verdicts(base, head, better, verdict, wins) -> None:
     s = ab.summarize(base, head, better, 0.25)
     assert (s["verdict"], s["wins"], s["pairs"]) == (verdict, wins, len(base))
     assert s["base"] == base and s["head"] == head
-    assert s["base_quartiles"][1] == pytest.approx(sorted(base)[4] / 2 + sorted(base)[5] / 2)
+    assert s["base_quartiles"][1] == pytest.approx(sorted(base)[(len(base) - 1) // 2] / 2
+                                                   + sorted(base)[len(base) // 2] / 2)
 
 
 def test_summarize_quartiles_and_change() -> None:

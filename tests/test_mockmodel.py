@@ -15,7 +15,6 @@ from pipedec.core import DomainError, MatchSequence
 from pipedec.mockmodel import (
     _BIAS_TAG,
     _SCORE_TAG,
-    _chain,
     _layer_keys,
     EOS_TOKEN,
     DecodeResult,
@@ -32,7 +31,7 @@ from pipedec.mockmodel import (
     prefix_digest,
     random_instance,
 )
-from pipedec.rng import mix64
+from pipedec.rng import mix64, mix64_chain
 from pipedec.trace import match_rate
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_rollout.json"
@@ -82,13 +81,14 @@ _WORDS = st.one_of(st.sampled_from((0, _MASK64)), st.integers(0, _MASK64))
 @given(seed=st.integers(0, _MASK64), depth=st.integers(1, 64), value=_WORDS, digest=_WORDS,
        lo=st.integers(1, 64), hi=st.integers(0, 64))
 def test_chain_equals_repeated_forward_layer(seed, depth, value, digest, lo, hi) -> None:
-    # the inlined kernel against the public one-layer op, which calls the scalar mix64
+    # the decoders' inlined kernel on layers lo..hi against the public one-layer op,
+    # which calls the scalar mix64
     model = MockModel(vocab_size=2, depth=depth, seed=seed)
     lo, hi = min(lo, depth), min(hi, depth)
     h = HiddenState(value)
     for layer in range(lo, hi + 1):
         h = forward_layer(model, h, layer, digest)
-    assert _chain(_layer_keys(model), value, digest, lo, hi) == h.value
+    assert mix64_chain(_layer_keys(model)[lo - 1 : hi], value, digest) == h.value
 
 
 def test_early_topk_basics() -> None:
