@@ -9,9 +9,7 @@ from pipedec.rng import (
     Stream,
     counter_hits,
     counter_uniforms,
-    golden_keys,
     mix64,
-    mix64_chain,
     mix64_np,
     stream_key,
     stream_keys,
@@ -29,18 +27,6 @@ def test_scalar_and_vector_mixers_agree() -> None:
         assert np.array_equal(z, before)  # the argument is never written
         assert vectored.dtype == np.uint64 and vectored.shape == z.shape
         assert vectored.ravel().tolist() == [mix64(int(x)) for x in z.flat]
-
-
-def test_mix64_chain_equals_repeated_mix64() -> None:
-    # sums that wrap mod 2**64 before and inside mix64's +GOLDEN, and an empty chain
-    wrap = 2**64 - GOLDEN
-    words = [0, 1, 2**64 - 1, GOLDEN, wrap - 1, wrap, wrap + 1, 2**63]
-    for value, addend in ((0, 0), (2**64 - 1, 2**64 - 1), (wrap, 0), (12345, wrap - 12345)):
-        expected = value
-        for w in words:
-            expected = mix64((expected + w + addend) & (2**64 - 1))
-        assert mix64_chain(golden_keys(words), value, addend) == expected
-        assert mix64_chain(golden_keys(()), value, addend) == value
 
 
 def test_stream_keys_match_scalar_derivation() -> None:
