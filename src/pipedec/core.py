@@ -15,14 +15,22 @@ class DomainError(ValueError):
     """A value violates one of the model's domain constraints."""
 
 
-def check_p(p: float) -> float:
+def check_p(p: float, name: str = "p_correct") -> float:
     """Return ``p`` as a float, rejecting bools, non-numbers and values outside [0, 1] or NaN."""
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise DomainError(f"p_correct must be a number, got {p!r}")
+        raise DomainError(f"{name} must be a number, got {p!r}")
     value = float(p)
     if not (0.0 <= value <= 1.0):
-        raise DomainError(f"p_correct must lie in [0, 1], got {p}")
+        raise DomainError(f"{name} must lie in [0, 1], got {p}")
     return value
+
+
+def check_int(name: str, value: int) -> int:
+    """Return ``value`` as an int, rejecting non-integers; ``name`` labels the error."""
+    # a bool is an Integral, and a float such as 40.0 is not
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -44,11 +52,7 @@ class DecodingConfig:
 
     def __post_init__(self) -> None:
         for name in ("d", "d_bar", "k", "ell"):
-            value = getattr(self, name)
-            # a bool is an Integral, and a float such as 40.0 is not
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.p_correct is not None:
             object.__setattr__(self, "p_correct", check_p(self.p_correct))
         if self.d < 1:

@@ -24,8 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DecodingConfig, DomainError, MatchSequence, closed_form_totals
-from .rng import golden_keys, mix64, mix64_chain, mix64_np, stream_key
+from .core import DecodingConfig, DomainError, MatchSequence, check_int, check_p
+from .core import closed_form_totals
+from .rng import (
+    golden_keys, mix64, mix64_chain, mix64_lanes, mix64_np, pack_lanes, stream_key, unpack_lanes,
+)
 from .tracetable import TraceTable
 
 EOS_TOKEN = 0
@@ -47,12 +50,13 @@ class MockModel:
     bias: float = 0.0        # fraction of positions whose early ranking copies the final one
 
     def __post_init__(self) -> None:
+        for name in ("vocab_size", "depth", "seed"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        object.__setattr__(self, "bias", check_p(self.bias, "bias"))
         if self.vocab_size < 2:
             raise DomainError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.depth < 1:
             raise DomainError(f"depth must be >= 1, got {self.depth}")
-        if not (0.0 <= self.bias <= 1.0):
-            raise DomainError(f"bias must lie in [0, 1], got {self.bias}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,7 @@ def decode_sequential(model: MockModel, prompt: Sequence[int], ell: int) -> Deco
 
     The prompt is folded once; each token then extends the digest.
     """
-    if ell < 1:
-        raise DomainError(f"ell must be >= 1, got {ell}")
+    DecodingConfig(model.depth, model.depth, 0, ell)  # the ell rule
     keys, scores = _layer_keys(model), _scorer(model)
     digest = prefix_digest(model, prompt)
     tokens: list[int] = []
@@ -185,8 +188,10 @@ def decode_ppd(
     main pass, and on a match hand the matching partial state to the main
     process, which resumes at layer d-d_bar+1.  Token output is identical
     to decode_sequential by construction; the layer counters record the
-    realized main-process and speculative work.  The speculative forwards
-    run one after another on the calling thread.
+    realized main-process and speculative work.  The k speculative
+    forwards run in lockstep on the calling thread, as the k lanes of one
+    packed integer (``rng.mix64_lanes``); every lane's window is computed,
+    the discarded ones included.
     """
     d = model.depth
     DecodingConfig(d, d_bar, k, ell)  # the d_bar, exact-regime and ell rules
@@ -195,6 +200,9 @@ def decode_ppd(
 
     window = d - d_bar
     keys, scores, bias_hit = _layer_keys(model), _scorer(model), _bias_rule(model)
+    # each window layer's key in all k lanes, and the mask of the lanes' 64-bit words
+    spread, lane_mask = pack_lanes([1] * k), pack_lanes([_MASK64] * k)
+    rows = [key * spread for key in keys[:window]]
     digest = prefix_digest(model, prompt)
     tokens: list[int] = []
     match_bits: list[bool] = []
@@ -221,7 +229,8 @@ def decode_ppd(
 
         # layer-window states of the next position, one per candidate token
         sub_digests = [extend_digest(model, digest, c) for c in cands]
-        sub_states = [mix64_chain(keys[:window], s, s) for s in sub_digests]
+        packed = pack_lanes(sub_digests)
+        sub_states = mix64_lanes(rows, packed, packed, lane_mask)
         spec_layers += k * window
 
         tokens.append(final)
@@ -232,7 +241,7 @@ def decode_ppd(
             break
         if matched:
             hit = cands.index(final)
-            handoff, digest = sub_states[hit], sub_digests[hit]
+            handoff, digest = unpack_lanes(sub_states, k)[hit], sub_digests[hit]
         else:
             handoff, digest = None, extend_digest(model, digest, final)
 

@@ -9,6 +9,9 @@ key derived from ``(seed, stream_index)``; its i-th draw is
 of the others (pure counter mode).  Serial and parallel consumers of
 the same (seed, index) pair therefore agree bit for bit, which is what
 the Monte Carlo driver relies on.
+
+``mix64_chain`` runs the mock model's layer steps on one word, and
+``mix64_lanes`` on many at once, as lanes of one integer (SIMD within a register).
 """
 
 from __future__ import annotations
@@ -64,6 +67,41 @@ def mix64_chain(keys: Sequence[int], value: int, addend: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         value = z ^ (z >> 31)
     return value
+
+
+_LANE_BITS = 128  # a lane's 64-bit word and the 64 zero bits that take its carries
+
+
+def pack_lanes(words: Iterable[int]) -> int:
+    """64-bit words as lanes of one integer: word i in bits [128*i, 128*i + 64)."""
+    packed = 0
+    for i, word in enumerate(words):
+        packed |= word << (_LANE_BITS * i)
+    return packed
+
+
+def unpack_lanes(packed: int, n: int) -> list[int]:
+    """The n lane words of ``packed``, inverse to ``pack_lanes`` on words below 2**64."""
+    return [(packed >> (_LANE_BITS * i)) & _MASK64 for i in range(n)]
+
+
+def mix64_lanes(rows: Sequence[int], values: int, addends: int, mask: int) -> int:
+    """``mix64_chain`` on each lane of ``pack_lanes`` words at once, bit for bit.
+
+    ``rows[j]`` packs each lane's key for step j (``key * pack_lanes([1] * n)``
+    gives every lane the same key) and ``mask`` is ``pack_lanes([2**64 - 1] * n)``,
+    the low 64 bits of each 128-bit slot.  No carry leaves a slot: a lane's
+    sum is below 3 * 2**64 and each product below 2**128.  The mask after
+    each xor-shift is needed for the latter: ``z >> s`` pulls the next lane's
+    low s bits into the top of this slot, and an unmasked multiply would
+    carry them into the next lane (a version without it gave wrong words).
+    """
+    for row in rows:
+        z = (values + row + addends) & mask
+        z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+        z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+        values = (z ^ (z >> 31)) & mask
+    return values
 
 
 def mix64_np(z: np.ndarray) -> np.ndarray:

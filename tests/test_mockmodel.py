@@ -193,6 +193,30 @@ def test_decode_ppd_rejects_bad_arguments() -> None:
         decode_ppd(model, (1,), 0, d_bar=8, k=3)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vocab_size", 2.5), ("vocab_size", 16.0), ("vocab_size", True),
+    ("depth", 8.0), ("seed", 1.5), ("bias", "0.5"), ("bias", True),
+])
+def test_mock_model_rejects_mistyped_fields(field, value) -> None:
+    with pytest.raises(DomainError, match=field):
+        MockModel(**{"vocab_size": 16, "depth": 8, "seed": 1, field: value})
+
+
+def test_mock_model_takes_numpy_numbers_as_python_ones() -> None:
+    model = MockModel(np.int64(16), np.int64(8), np.uint64(1), bias=np.float64(0.5))
+    assert model == MockModel(16, 8, 1, bias=0.5)
+    assert type(model.vocab_size) is int and type(model.bias) is float
+
+
+@pytest.mark.parametrize("ell", [2.0, True, 0])
+def test_both_decoders_reject_a_bad_ell(ell) -> None:
+    model = MockModel(vocab_size=16, depth=8, seed=1)
+    with pytest.raises(DomainError, match="ell"):
+        decode_sequential(model, (1,), ell)
+    with pytest.raises(DomainError, match="ell"):
+        decode_ppd(model, (1,), ell, d_bar=6, k=2)
+
+
 def test_handoff_state_equals_fresh_forward() -> None:
     model = MockModel(vocab_size=16, depth=12, seed=99)
     context = (5, 1, 7)
@@ -363,6 +387,8 @@ EDGE_CASES = {
     # the long-decode benchmark's shape: bias hits score one row, the other
     # positions score h_d and h_dbar in one two-row pass; both occur here
     "long_decode_shape": (MockModel(1024, 40, 20261018, bias=0.7), (5, 9, 1, 7), 48, 24, 3),
+    # eight speculation lanes over a 20-layer window
+    "many_lanes_long_window": (MockModel(64, 40, 20261019, bias=0.5), (3, 60), 24, 20, 8),
 }
 
 

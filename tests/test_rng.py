@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pipedec.rng import (
     _BLOCK_WORDS,
@@ -10,10 +12,16 @@ from pipedec.rng import (
     counter_hits,
     counter_uniforms,
     mix64,
+    mix64_chain,
+    mix64_lanes,
     mix64_np,
+    pack_lanes,
     stream_key,
     stream_keys,
+    unpack_lanes,
 )
+
+_MASK64 = (1 << 64) - 1
 
 
 def test_scalar_and_vector_mixers_agree() -> None:
@@ -81,3 +89,36 @@ def test_counter_hits_equals_float_reference(n: int) -> None:
         # the boundary is exercised: p = drawn excludes that draw, its upper neighbour counts it
         above = counter_hits(keys, n, float(np.nextafter(drawn, 1.0))).sum()
         assert above > counter_hits(keys, n, drawn).sum()
+
+
+# a lane word: the extremes, where carries are largest or absent, or any 64-bit word
+_WORD = st.one_of(st.sampled_from((0, _MASK64)), st.integers(0, _MASK64))
+
+
+@st.composite
+def lane_cases(draw):
+    """(keys, values, addends): keys[j][i] is lane i's key at step j, 1-8 lanes, 0-40 steps."""
+    n = draw(st.integers(1, 8))
+    words = st.lists(_WORD, min_size=n, max_size=n)
+    return draw(st.lists(words, max_size=40)), draw(words), draw(words)
+
+
+_ONES = [_MASK64] * 8
+_SHARED = [[key] * 3 for key in (GOLDEN, 0, _MASK64, 12345)]  # one key per step in every lane
+
+
+@settings(max_examples=200)
+@example(case=([_ONES] * 40, _ONES, _ONES))
+@example(case=([], [0, 1, _MASK64], [_MASK64, 7, 0]))
+@example(case=(_SHARED, [1, 2, 3], [1, 2, 3]))
+@given(case=lane_cases())
+def test_lanes_equal_per_lane_chains(case) -> None:
+    keys, values, addends = case
+    n = len(values)
+    packed = mix64_lanes([pack_lanes(row) for row in keys], pack_lanes(values),
+                         pack_lanes(addends), pack_lanes([_MASK64] * n))
+    lanes = unpack_lanes(packed, n)
+    # no bit outside the n lane words is set
+    assert packed == pack_lanes(lanes)
+    assert lanes == [mix64_chain([row[i] for row in keys], values[i], addends[i])
+                     for i in range(n)]
