@@ -125,7 +125,9 @@ def _machine() -> dict:
                         if line.startswith("model name")), cpu)
     except OSError:
         pass
-    return {"nproc": os.cpu_count(), "cpu_model": cpu, "platform": platform.platform(),
+    # nproc counts the host's CPUs; cpus_usable the ones this process may run on
+    return {"nproc": os.cpu_count(), "cpus_usable": len(os.sched_getaffinity(0)),
+            "cpu_model": cpu, "platform": platform.platform(),
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 

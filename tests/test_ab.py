@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,10 @@ def test_append_record_keeps_earlier_records(tmp_path) -> None:
     with pytest.raises(ValueError):
         ab.append_record(path, {"n": 2})
     assert path.read_text(encoding="utf-8") == '{"n": 1}'
+
+
+def test_machine_records_the_usable_cpus(monkeypatch) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    machine = ab._machine()
+    assert machine["cpus_usable"] == 1
+    assert machine["nproc"] == os.cpu_count()

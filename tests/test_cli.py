@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from pipedec.cli import main
+import pipedec
+from pipedec import mockmodel
+from pipedec.cli import VERIFY_CHUNK, main
 from pipedec.trace import planted_trace, save_traces
 
 ANALYZE = ["analyze", "--d", "40", "--dbar", "20", "--k", "3", "--l", "128", "--p", "0.6837"]
@@ -310,6 +318,81 @@ def test_verify_small_run_passes(capsys) -> None:
     assert first.startswith("PASS: 10 ")
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+POOLED = 240  # several chunks, so verify uses its process pool wherever two CPUs are usable
+
+
+def test_verify_reports_the_lowest_failing_instance(monkeypatch, capsys) -> None:
+    seed = 11
+    low, high = VERIFY_CHUNK + 25, 3 * VERIFY_CHUNK + 30  # in different chunks
+    assert high < POOLED
+    planted = {mockmodel.random_instance(i, seed): i for i in (low, high)}
+
+    def counterexample(inst):
+        # forked workers inherit this patch; the slow lower defect is found last
+        if planted.get(inst) == low:
+            time.sleep(0.5)
+        return "planted" if inst in planted else None
+
+    monkeypatch.setattr(mockmodel, "exactness_counterexample", counterexample)
+    assert main(["verify", "--instances", str(POOLED), "--seed", str(seed)]) == 1
+    assert capsys.readouterr().out == f"FAIL at instance {low} (seed {seed}): planted\n"
+    assert multiprocessing.active_children() == []
+
+
+def _serial_verify(instances: int, seed: int) -> str:
+    """The verify loop as it ran before the pool: one instance after another."""
+    for index in range(instances):
+        defect = mockmodel.exactness_counterexample(mockmodel.random_instance(index, seed))
+        if defect is not None:
+            return f"FAIL at instance {index} (seed {seed}): {defect}\n"
+    return (f"PASS: {instances} pipelined-vs-sequential instances decoded identically "
+            f"(seed {seed})\n")
+
+
+@pytest.mark.parametrize("seed", [2, 29])
+def test_verify_over_many_chunks_equals_the_serial_loop(seed: int, capsys) -> None:
+    assert main(["verify", "--instances", str(POOLED), "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == _serial_verify(POOLED, seed)
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_domain_error_from_a_worker_is_a_usage_error(capsys) -> None:
+    argv = ["verify", "--instances", str(POOLED), "--vocab-sizes", "2", "--k-values", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no k in [3] fits vocab_size 2\n")
+    assert multiprocessing.active_children() == []
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(pipedec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+def test_cli_import_loads_no_process_machinery() -> None:
+    # they cost ~20 ms at import, which every command would pay
+    out = _python("import sys, pipedec.cli; "
+                  "print([m for m in ('multiprocessing', 'concurrent.futures') "
+                  "if m in sys.modules])").stdout
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("instances, cpus", [(10, None), (POOLED, {0})],
+                         ids=["one_chunk", "one_cpu"])
+def test_verify_without_two_chunks_and_two_cpus_starts_no_process(
+        instances, cpus, monkeypatch, capsys) -> None:
+    def no_fork():
+        raise AssertionError("verify started a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert main(["verify", "--instances", str(instances), "--seed", "5"]) == 0
+    assert capsys.readouterr().out == _serial_verify(instances, 5)
 
 
 def test_verify_zero_instances_is_usage_error() -> None:
