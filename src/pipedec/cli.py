@@ -64,6 +64,9 @@ def _merged_config(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
                 raise DomainError(f"--config {args.config}: invalid JSON ({exc})") from None
             except UnicodeDecodeError as exc:
                 raise DomainError(f"--config {args.config}: not valid UTF-8 ({exc})") from None
+            except RecursionError:
+                raise DomainError(
+                    f"--config {args.config}: invalid JSON (nesting too deep)") from None
         if not isinstance(loaded, dict):
             raise DomainError("--config file must hold a JSON object")
         merged.update(loaded)

@@ -185,13 +185,13 @@ def _mistyped(example_id, position, early, final, layer) -> str | None:
     return None
 
 
-def _strictly_typed(ids: list, positions: list, early: list, finals: list, layers: list) -> bool:
-    """Whole-column form of ``_mistyped(*row) is None`` for every row."""
+def _strictly_typed(ids: list, positions: list, flat: list, finals: list, layers: list) -> bool:
+    """Whole-column form of ``_mistyped(*row) is None`` for every row, given that each
+    ``early_topk`` is a list and ``flat`` holds their entries in order."""
     return (
         set(map(type, ids)) <= {str}
         and _all_int64(positions)
-        and set(map(type, early)) <= {list}
-        and _all_int64(list(chain.from_iterable(early)))
+        and _all_int64(flat)
         and _all_int64(finals)
         and _all_int64([v for v in layers if v is not None])
     )
@@ -208,7 +208,9 @@ def _table_from_rows(
     ``fault``, the line-level fault that ended the read after these rows.
     """
     stop = len(ids)
-    if not _strictly_typed(ids, positions, early, finals, layers):
+    # one flattening of early_topk serves both the type check and the topk fill
+    flat = list(chain.from_iterable(early)) if set(map(type, early)) <= {list} else None
+    if flat is None or not _strictly_typed(ids, positions, flat, finals, layers):
         stop, why = next(
             (row, why)
             for row, why in enumerate(map(_mistyped, ids, positions, early, finals, layers))
@@ -218,12 +220,11 @@ def _table_from_rows(
         ids, positions, early, finals, layers = (
             ids[:stop], positions[:stop], early[:stop], finals[:stop], layers[:stop]
         )
+        flat = list(chain.from_iterable(early))
     lens = np.fromiter(map(len, early), np.int64, stop)
     kmax = int(lens.max(initial=0))
     topk = np.zeros((stop, kmax), np.int64)
-    topk[np.arange(kmax) < lens[:, None]] = np.fromiter(
-        chain.from_iterable(early), np.int64, int(lens.sum())
-    )
+    topk[np.arange(kmax) < lens[:, None]] = np.array(flat, np.int64)
     index: dict[str, int] = {}
     codes = [index.setdefault(s, len(index)) for s in ids]
     columns = dict(
@@ -254,6 +255,41 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+# a line of at most this many characters opens at most 256 arrays and objects (each takes
+# two), so only a longer line needs its brackets counted
+_SHALLOW_LINE = 512
+
+
+def _fast_decode(line: str, loads) -> dict | None:
+    """``loads(line)`` when it provably equals ``_DECODER.decode(line)``, else None.
+
+    ``loads`` is orjson's.  Where the stdlib decoder rejects a repeated
+    key, keeps an integer beyond 64 bits exact and stops at the recursion
+    limit (depth ~1000), orjson keeps the last value, reads the integer as
+    a float and reads any depth.  So its parse is kept only when the line
+    has no backslash (every ``"`` then delimits a string), its ``"`` count
+    leaves room for no string but the keys and ``example_id`` (so no key
+    repeats at any depth), the known fields already have their strict
+    types, and the line opens at most 256 arrays and objects.
+    """
+    try:
+        obj = loads(line)
+    except json.JSONDecodeError:
+        return None
+    if (
+        type(obj) is dict
+        and "\\" not in line
+        and line.count('"') == 2 * len(obj) + 2
+        and type(obj.get("example_id")) is str
+        and type(obj.get("position")) is int
+        and type(obj.get("final")) is int
+        and type(obj.get("layer", 0)) is int
+        and type(early := obj.get("early_topk")) is list
+        and set(map(type, early)) <= {int}
+        and (len(line) <= _SHALLOW_LINE or line.count("[") + line.count("{") <= 256)
+    ):
+        return obj
+    return None
 
 
 def load_traces(source: str | Path | IO[str]) -> TraceTable:
@@ -265,11 +301,16 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
     the first bad line, as does a key repeated within a line; unknown keys
     are ignored.  A line that is not UTF-8 raises ParseError too.  Faults
     are reported in file order, the first one only.
+
+    orjson parses each line; the stdlib decoder, the arbiter of every
+    result and message, parses a line whose orjson result could differ.
     """
     if isinstance(source, (str, Path)):
         # undecodable bytes become lone surrogates, which the loop below reports by line
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return load_traces(fh)
+    from orjson import loads  # imported here so that commands reading no trace do not pay
+
     columns: tuple[list, ...] = ([], [], [], [], [], [])
     ids, positions, early, finals, layers, line_nos = columns
     fault = None
@@ -288,12 +329,16 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = _DECODER.decode(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON ({exc.msg})") from None
-            except ValueError as exc:  # a repeated key, or an int too long to convert
-                raise ParseError(line_no, str(exc)) from None
+            obj = _fast_decode(line, loads)
+            if obj is None:
+                try:
+                    obj = _DECODER.decode(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(line_no, f"invalid JSON ({exc.msg})") from None
+                except ValueError as exc:  # a repeated key, or an int too long to convert
+                    raise ParseError(line_no, str(exc)) from None
+                except RecursionError:
+                    raise ParseError(line_no, "invalid JSON (nesting too deep)") from None
             if type(obj) is not dict:
                 raise ParseError(line_no, "each line must be a JSON object")
             try:

@@ -280,6 +280,19 @@ def test_config_malformed_json_is_usage_error(tmp_path, capsys) -> None:
     assert "invalid JSON" in _single_error_line(capsys)
 
 
+def test_deep_nesting_is_a_usage_error(tmp_path, capsys) -> None:
+    nested = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, '
+                    f'"note": {nested}}}\n')
+    assert main(["matchrate", "--input", str(path), "--k", "1"]) == 2
+    assert "line 1: invalid JSON (nesting too deep)" in _single_error_line(capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(nested)
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert f"--config {cfg}: invalid JSON (nesting too deep)" in _single_error_line(capsys)
+
+
 GOOD_CONFIG = {"d": 40, "dbar": 20, "k": 3, "l": 8, "p": 0.5}
 
 

@@ -291,6 +291,44 @@ def test_non_utf8_file_names_its_line(tmp_path) -> None:
         load_traces(path)
 
 
+def test_deep_nesting_names_its_line() -> None:
+    deep = GOOD_LINE.replace("}", ', "note": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ParseError, match=r"^line 2: invalid JSON \(nesting too deep\)$") as err:
+        load_traces(io.StringIO(GOOD_LINE + "\n" + deep + "\n"))
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        GOOD_LINE.replace('"a"', '"\\u0061"'),
+        GOOD_LINE.replace("}", ', "final": 5}'),
+        GOOD_LINE.replace("}", ', "note": {"x": 1}}'),
+        GOOD_LINE.replace("[1, 2]", f"[1, {2**64}]"),
+    ],
+    ids=["escaped_id", "repeated_key", "key_under_unknown_object", "topk_entry_beyond_64_bits"],
+)
+def test_only_lines_orjson_may_misread_reach_the_stdlib_decoder(monkeypatch, line: str) -> None:
+    decoded = []
+
+    def spy(text):
+        decoded.append(text)
+        return real(text)
+
+    real = tracetable._DECODER.decode
+    monkeypatch.setattr(tracetable._DECODER, "decode", spy)
+    buf = io.StringIO()
+    save_traces(planted_trace(0.6837, 300, 3, seed=0, layer=20), buf)
+    save_traces(planted_trace(0.6837, 300, 3, seed=1), buf)
+    load_traces(io.StringIO(buf.getvalue()))
+    assert decoded == []
+    try:
+        load_traces(io.StringIO(GOOD_LINE + "\n" + line + "\n"))
+    except ParseError:
+        pass
+    assert decoded == [line]
+
+
 def test_record_keeps_int_values() -> None:
     # layer 0 is a tag, not an absent layer; an empty early_topk and a negative final are data
     table = load_traces(io.StringIO(

@@ -6,13 +6,15 @@ import io
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pipedec import tracetable
 from pipedec.core import DomainError
 from pipedec.trace import (
     BucketRow,
     MatchRateReport,
+    ParseError,
     load_traces,
     match_rate,
     match_rate_by_bucket,
@@ -98,3 +100,104 @@ def test_match_rates_equal_row_by_row_reference(rows, k: int, width: int) -> Non
     assert match_rate(table, k) == MatchRateReport(
         expected.k, expected.total_positions, expected.matches, expected.p_hat, expected.ci95
     )
+
+
+# JSON texts on which orjson and the stdlib decoder can disagree: integers at and beyond
+# 64 bits (orjson reads them as floats; 400 digits overflow a double, 5000 exceed the
+# stdlib's digit limit), non-finite numbers, escapes, a raw control character, and (DEEP)
+# nesting deeper than the stdlib reads
+INTS = st.sampled_from(
+    [str(2**63 - 1), str(2**63), str(2**64), str(-(2**63) - 1), "9" * 400, "-" + "9" * 5000]
+) | st.integers(2**64, 2**70).map(str) | st.integers(-(2**63), 2**63 - 1).map(str)
+ATOMS = st.sampled_from([
+    "1.5", "1e999", "NaN", "true", "null", '"s"', '"\\u00e9"', '"é"', '"a\\"b"', '"\\ud800"',
+    '"a\tb"', "{}",
+])
+# hypothesis raises the recursion limit by 2000 while a test runs, so only the deepest of
+# these stops the stdlib decoder here, as 1200 does at the interpreter's default limit
+DEEP = st.sampled_from([300, 1200, 5000]).map(lambda depth: "[" * depth + "]" * depth)
+NEW_KEYS = st.sampled_from(['"note"', '"x"', '"fin\\u0061l"', '"\\u00e9"', '"é"'])
+
+
+def _object(pairs: list[tuple[str, str]]) -> str:
+    return "{" + ", ".join(f"{key}: {value}" for key, value in pairs) + "}"
+
+
+VALUES = INTS | ATOMS | DEEP | st.recursive(
+    INTS | ATOMS,
+    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+    | st.lists(st.tuples(NEW_KEYS, inner), max_size=3).map(_object),
+    max_leaves=4,
+)
+
+
+# a value for a known field: a list of the scalars above, as early_topk holds, or any value
+FIELD_VALUES = st.lists(INTS | ATOMS, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]") | VALUES
+
+
+@st.composite
+def trace_lines(draw) -> str:
+    """One line of a trace file: mostly a record, often altered, else blank or not a record."""
+    kind = draw(st.sampled_from(["record"] * 6 + ["blank", "other"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    if kind == "other":
+        return draw(VALUES | st.sampled_from(["not json", "{", '{"example_id": "a",}']))
+    example_id = draw(st.sampled_from(["a", "ex1"]) | st.text("ab\u00e9\u4f8b\"\x01", max_size=3))
+    topk = draw(st.lists(st.integers(0, 6), max_size=4))  # a repeated id is a table fault
+    pairs = [
+        ('"example_id"', json.dumps(example_id, ensure_ascii=draw(st.booleans()))),
+        ('"position"', str(draw(st.integers(0, 3)))),  # position 0 is a table fault
+        ('"early_topk"', str(topk)),
+        ('"final"', str(draw(st.integers(0, 6)))),
+    ] + draw(st.sampled_from([[], [('"layer"', "20")]]))
+    # at most one known field takes a value that may be mistyped
+    at = draw(st.integers(0, len(pairs) + 1))
+    if at < len(pairs):
+        pairs[at] = (pairs[at][0], draw(FIELD_VALUES))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(pairs) - 1))
+        action = draw(st.sampled_from(["add", "add", "repeat", "drop"]))
+        if action == "add":
+            pairs.insert(at, (draw(NEW_KEYS), draw(VALUES | DEEP)))
+        elif action == "repeat":
+            pairs.append((pairs[at][0], draw(VALUES)))
+        elif len(pairs) > 1:
+            del pairs[at]
+    return _object(pairs)
+
+
+def _outcome(text: str):
+    try:
+        return load_traces(io.StringIO(text))
+    except ParseError as exc:
+        return type(exc), exc.line_no, exc.reason
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(trace_lines(), max_size=6))
+@example(lines=[  # one line that each clause of the fast parse's rule keeps from orjson
+    '[["a", "b"], "c", "d"]',
+    '{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "final": 2}',
+    f'{{"example_id": [{2**64}, "s"], "position": 1, "early_topk": [1], "final": 1}}',
+    f'{{"example_id": "a", "position": {2**64}, "early_topk": [1], "final": 1}}',
+    f'{{"example_id": "a", "position": 1, "early_topk": [1, {2**64}], "final": 1}}',
+    f'{{"example_id": "a", "position": 1, "early_topk": 7, "final": 1}}',
+    f'{{"example_id": "a", "position": 1, "early_topk": [1], "final": {2**64}}}',
+    f'{{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "layer": {2**64}}}',
+    '{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "x": '
+    + "[" * 5000 + "]" * 5000 + "}",
+])
+def test_fast_parse_equals_the_stdlib_decoder(lines: list[str]) -> None:
+    # the whole file, for the order of faults, and each line alone, which no earlier fault hides
+    texts = ["\n".join(lines) + "\n"] + [line + "\n" for line in lines]
+    shipped = [_outcome(text) for text in texts]
+    with pytest.MonkeyPatch.context() as patch:
+        # the stdlib-only loader: the fast parse declines every line
+        patch.setattr(tracetable, "_fast_decode", lambda line, loads: None)
+        oracle = [_outcome(text) for text in texts]
+    for mine, theirs in zip(shipped, oracle):
+        assert type(mine) is type(theirs)
+        assert mine == theirs
+        if isinstance(mine, tracetable.TraceTable):
+            assert mine.example_ids == theirs.example_ids
