@@ -119,20 +119,22 @@ DEEP = st.sampled_from([300, 1200, 5000]).map(lambda depth: "[" * depth + "]" * 
 NEW_KEYS = st.sampled_from(['"note"', '"x"', '"fin\\u0061l"', '"\\u00e9"', '"é"'])
 
 
+def _array(items: list[str]) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
 def _object(pairs: list[tuple[str, str]]) -> str:
     return "{" + ", ".join(f"{key}: {value}" for key, value in pairs) + "}"
 
 
 VALUES = INTS | ATOMS | DEEP | st.recursive(
     INTS | ATOMS,
-    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+    lambda inner: st.lists(inner, max_size=3).map(_array)
     | st.lists(st.tuples(NEW_KEYS, inner), max_size=3).map(_object),
     max_leaves=4,
 )
-
-
 # a value for a known field: a list of the scalars above, as early_topk holds, or any value
-FIELD_VALUES = st.lists(INTS | ATOMS, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]") | VALUES
+FIELD_VALUES = st.lists(INTS | ATOMS, max_size=3).map(_array) | VALUES
 
 
 @st.composite
@@ -182,7 +184,7 @@ def _outcome(text: str):
     f'{{"example_id": [{2**64}, "s"], "position": 1, "early_topk": [1], "final": 1}}',
     f'{{"example_id": "a", "position": {2**64}, "early_topk": [1], "final": 1}}',
     f'{{"example_id": "a", "position": 1, "early_topk": [1, {2**64}], "final": 1}}',
-    f'{{"example_id": "a", "position": 1, "early_topk": 7, "final": 1}}',
+    '{"example_id": "a", "position": 1, "early_topk": 7, "final": 1}',
     f'{{"example_id": "a", "position": 1, "early_topk": [1], "final": {2**64}}}',
     f'{{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "layer": {2**64}}}',
     '{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "x": '
