@@ -17,6 +17,7 @@ from pathlib import Path
 from . import analytic, mockmodel, schedule, stochastic, svgout, trace
 from .core import DecodingConfig, DomainError, LatencyComputeReport, MatchSequence
 from .rng import Stream
+from .tracetable import _unique_keys
 
 
 def _positive_int(text: str) -> int:
@@ -59,11 +60,13 @@ def _merged_config(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
     if getattr(args, "config", None) is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                loaded = json.load(fh)
+                loaded = json.load(fh, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise DomainError(f"--config {args.config}: invalid JSON ({exc})") from None
             except UnicodeDecodeError as exc:
                 raise DomainError(f"--config {args.config}: not valid UTF-8 ({exc})") from None
+            except ValueError as exc:  # a repeated key, or an int too long to convert
+                raise DomainError(f"--config {args.config}: {exc}") from None
             except RecursionError:
                 raise DomainError(
                     f"--config {args.config}: invalid JSON (nesting too deep)") from None

@@ -7,8 +7,10 @@ A trace is line-delimited JSON, one record per logged token position:
 
 In memory it is a ``TraceTable``, one numpy column per field, so that
 synthesis, I/O and estimation work on whole columns rather than on one
-object per line.  Field types are strict: a bool, float or numeric
-string where an integer belongs is an error, never coerced.
+object per line.  Field types are strict: a bool, float, null or
+numeric string where an integer belongs is an error, never coerced.
+One function, ``_mistyped``, states these types; the loader runs it
+once per line, as it reads that line.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 # rows per block when a table is turned back into Python values, which bounds that memory
 _ROW_BLOCK = 4096
+# an error message echoes at most this many characters of a bad value's repr
+_ECHO_CHARS = 40
 _ROW_COLUMNS = ("example_code", "position", "topk", "topk_len", "final", "layer", "layer_absent")
 
 
@@ -164,67 +168,42 @@ def _is_int64(value: object) -> bool:
     return type(value) is int and _INT64_MIN <= value <= _INT64_MAX
 
 
-def _all_int64(values: list) -> bool:
-    return not values or (
-        set(map(type, values)) == {int} and min(values) >= _INT64_MIN and max(values) <= _INT64_MAX
-    )
+def _echo(value: object) -> str:
+    """``repr(value)`` for an error message, cut to ``_ECHO_CHARS`` characters."""
+    text = repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
 
 
-def _mistyped(example_id, position, early, final, layer) -> str | None:
-    """Why one row's values are not of their field's strict type, or None."""
-    if type(example_id) is not str:
-        return f"example_id must be a string, got {example_id!r}"
-    if not _is_int64(position):
-        return f"position must be an int64 integer, got {position!r}"
-    if type(early) is not list or not all(map(_is_int64, early)):
-        return f"early_topk must be a list of int64 token ids, got {early!r}"
-    if not _is_int64(final):
-        return f"final must be an int64 integer, got {final!r}"
-    if layer is not None and not _is_int64(layer):
-        return f"layer must be an int64 integer or absent, got {layer!r}"
+def _mistyped(obj: dict) -> str | None:
+    """Why a line's fields are not of their strict types, or None: the one statement of a
+    row's types, run once per loaded line.  A missing field reads as None; ``layer`` may be
+    absent, but a present ``"layer": null`` is mistyped.  The reason starts with the field.
+    """
+    if type(example_id := obj.get("example_id")) is not str:
+        return f"example_id must be a string, got {_echo(example_id)}"
+    if not _is_int64(position := obj.get("position")):
+        return f"position must be an int64 integer, got {_echo(position)}"
+    early = obj.get("early_topk")
+    if type(early) is not list:
+        return f"early_topk must be a list of int64 token ids, got {_echo(early)}"
+    if not all(map(_is_int64, early)):
+        at = next(i for i, v in enumerate(early) if not _is_int64(v))
+        return f"early_topk[{at}] must be an int64 token id, got {_echo(early[at])}"
+    if not _is_int64(final := obj.get("final")):
+        return f"final must be an int64 integer, got {_echo(final)}"
+    if "layer" in obj and not _is_int64(layer := obj["layer"]):
+        return f"layer must be an int64 integer or absent, got {_echo(layer)}"
     return None
 
 
-def _strictly_typed(ids: list, positions: list, flat: list, finals: list, layers: list) -> bool:
-    """Whole-column form of ``_mistyped(*row) is None`` for every row, given that each
-    ``early_topk`` is a list and ``flat`` holds their entries in order."""
-    return (
-        set(map(type, ids)) <= {str}
-        and _all_int64(positions)
-        and _all_int64(flat)
-        and _all_int64(finals)
-        and _all_int64([v for v in layers if v is not None])
-    )
-
-
 def _table_from_rows(
-    ids: list, positions: list, early: list, finals: list, layers: list, line_nos: list[int],
-    fault: ParseError | None,
+    ids: list, positions: list, early: list, finals: list, layers: list, line_nos: list[int]
 ) -> TraceTable:
-    """Columns from the loader's per-row values, each strictly of its field's type.
-
-    Bools, floats and numeric strings are rejected, not coerced.  The
-    first fault in file order is raised: a bad row's type or value, else
-    ``fault``, the line-level fault that ended the read after these rows.
-    """
-    stop = len(ids)
-    # one flattening of early_topk serves both the type check and the topk fill
-    flat = list(chain.from_iterable(early)) if set(map(type, early)) <= {list} else None
-    if flat is None or not _strictly_typed(ids, positions, flat, finals, layers):
-        stop, why = next(
-            (row, why)
-            for row, why in enumerate(map(_mistyped, ids, positions, early, finals, layers))
-            if why is not None
-        )
-        fault = ParseError(line_nos[stop], why)
-        ids, positions, early, finals, layers = (
-            ids[:stop], positions[:stop], early[:stop], finals[:stop], layers[:stop]
-        )
-        flat = list(chain.from_iterable(early))
-    lens = np.fromiter(map(len, early), np.int64, stop)
+    """A table from the loader's per-row values, which ``_mistyped`` has passed."""
+    lens = np.fromiter(map(len, early), np.int64, len(early))
     kmax = int(lens.max(initial=0))
-    topk = np.zeros((stop, kmax), np.int64)
-    topk[np.arange(kmax) < lens[:, None]] = np.array(flat, np.int64)
+    topk = np.zeros((len(early), kmax), np.int64)
+    topk[np.arange(kmax) < lens[:, None]] = np.array(list(chain.from_iterable(early)), np.int64)
     index: dict[str, int] = {}
     codes = [index.setdefault(s, len(index)) for s in ids]
     columns = dict(
@@ -239,10 +218,7 @@ def _table_from_rows(
     # read-only, so that the constructor takes these arrays over instead of copying them
     for col in columns.values():
         col.setflags(write=False)
-    table = TraceTable(example_ids=tuple(index), line_nos=line_nos, **columns)
-    if fault is not None:
-        raise fault
-    return table
+    return TraceTable(example_ids=tuple(index), line_nos=line_nos, **columns)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -269,8 +245,9 @@ def _fast_decode(line: str, loads) -> dict | None:
     a float and reads any depth.  So its parse is kept only when the line
     has no backslash (every ``"`` then delimits a string), its ``"`` count
     leaves room for no string but the keys and ``example_id`` (so no key
-    repeats at any depth), the known fields already have their strict
-    types, and the line opens at most 256 arrays and objects.
+    repeats at any depth), the line opens at most 256 arrays and objects,
+    and the row passes ``_mistyped``, the loader's one type gate, which
+    admits no float and no integer beyond int64.
     """
     try:
         obj = loads(line)
@@ -280,13 +257,8 @@ def _fast_decode(line: str, loads) -> dict | None:
         type(obj) is dict
         and "\\" not in line
         and line.count('"') == 2 * len(obj) + 2
-        and type(obj.get("example_id")) is str
-        and type(obj.get("position")) is int
-        and type(obj.get("final")) is int
-        and type(obj.get("layer", 0)) is int
-        and type(early := obj.get("early_topk")) is list
-        and set(map(type, early)) <= {int}
         and (len(line) <= _SHALLOW_LINE or line.count("[") + line.count("{") <= 256)
+        and _mistyped(obj) is None
     ):
         return obj
     return None
@@ -296,7 +268,7 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
     """Parse a JSONL trace in file order; blank lines are ignored.
 
     Each field must have its JSON type exactly (``position``, ``final``,
-    the ``early_topk`` entries and a present ``layer`` are integers;
+    the ``early_topk`` entries and a present ``layer`` are int64 integers;
     ``example_id`` is a string); anything else raises ParseError naming
     the first bad line, as does a key repeated within a line; unknown keys
     are ignored.  A line that is not UTF-8 raises ParseError too.  Faults
@@ -304,6 +276,7 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
 
     orjson parses each line; the stdlib decoder, the arbiter of every
     result and message, parses a line whose orjson result could differ.
+    Either way ``_mistyped`` decides the line's types once, at that line.
     """
     if isinstance(source, (str, Path)):
         # undecodable bytes become lone surrogates, which the loop below reports by line
@@ -339,21 +312,25 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
                     raise ParseError(line_no, str(exc)) from None
                 except RecursionError:
                     raise ParseError(line_no, "invalid JSON (nesting too deep)") from None
-            if type(obj) is not dict:
-                raise ParseError(line_no, "each line must be a JSON object")
-            try:
-                row = (obj["example_id"], obj["position"], obj["early_topk"], obj["final"])
-            except KeyError as exc:
-                raise ParseError(line_no, f"missing field {exc.args[0]!r}") from None
-            ids.append(row[0])
-            positions.append(row[1])
-            early.append(row[2])
-            finals.append(row[3])
+                if type(obj) is not dict:
+                    raise ParseError(line_no, "each line must be a JSON object")
+                for key in ("example_id", "position", "early_topk", "final"):
+                    if key not in obj:
+                        raise ParseError(line_no, f"missing field {key!r}")
+                if (why := _mistyped(obj)) is not None:
+                    raise ParseError(line_no, why)
+            ids.append(obj["example_id"])
+            positions.append(obj["position"])
+            early.append(obj["early_topk"])
+            finals.append(obj["final"])
             layers.append(obj.get("layer"))
             line_nos.append(line_no)
     except ParseError as exc:
         fault = exc  # pending: a bad value on an earlier line is reported first
-    return _table_from_rows(*columns, fault)
+    table = _table_from_rows(*columns)
+    if fault is not None:
+        raise fault
+    return table
 
 
 def save_traces(table: TraceTable, sink: str | Path | IO[str]) -> None:

@@ -307,8 +307,13 @@ GOOD_CONFIG = {"d": 40, "dbar": 20, "k": 3, "l": 8, "p": 0.5}
         ({"p": True}, "p_correct must be a number, got True"),
         (json.dumps({**GOOD_CONFIG, "note": "x"}).encode().replace(b"x", b"\xff"),
          "--config {cfg}: not valid UTF-8"),
+        (json.dumps(GOOD_CONFIG).replace("}", ', "p": 0.9}').encode(),
+         "--config {cfg}: duplicate key 'p'"),
+        (json.dumps(GOOD_CONFIG).replace("40", "9" * 5000).encode(),
+         "--config {cfg}: Exceeds the limit (4300 digits) for integer string conversion"),
     ],
-    ids=["string_d", "float_d", "bool_k", "float_l", "string_p", "bool_p", "non_utf8_file"],
+    ids=["string_d", "float_d", "bool_k", "float_l", "string_p", "bool_p", "non_utf8_file",
+         "repeated_key", "int_too_long"],
 )
 def test_config_wrong_type_is_usage_error(tmp_path, capsys, change, message) -> None:
     cfg = tmp_path / "cfg.json"

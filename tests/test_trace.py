@@ -239,16 +239,40 @@ GOOD_LINE = '{"example_id": "a", "position": 1, "early_topk": [1, 2], "final": 2
         ('{"example_id": "a", "position": 1.0, "early_topk": [1, 2], "final": 2}', "position"),
         ('{"example_id": "a", "position": 2, "early_topk": [1], "final": 1, "layer": false}',
          "layer"),
+        # a present null is mistyped, not an absent layer
+        ('{"example_id": "a", "position": 2, "early_topk": [1], "final": 1, "layer": null}',
+         "layer"),
+        # one past each end of int64: orjson reads 2**63 as an int, so the type gate decides
+        *(
+            (GOOD_LINE.replace("}", f', "layer": 1}}').replace(f'"{field}": {old}',
+                                                           f'"{field}": {value}'), field)
+            for field, old in (("position", 1), ("final", 2), ("layer", 1))
+            for value in (2**63, -(2**63) - 1)
+        ),
     ],
     ids=["float_topk_entry", "string_final", "bool_position", "int_example_id",
          "float_layer", "id_beyond_int64", "bool_topk_entry", "string_topk_entry",
-         "float_final", "float_position", "bool_layer"],
+         "float_final", "float_position", "bool_layer", "null_layer",
+         "position_2**63", "position_-2**63-1", "final_2**63", "final_-2**63-1",
+         "layer_2**63", "layer_-2**63-1"],
 )
 def test_loader_rejects_mistyped_value(line: str, field: str) -> None:
     with pytest.raises(ParseError, match="line 3") as err:
         load_traces(io.StringIO(GOOD_LINE + "\n\n" + line + "\n"))
     assert err.value.line_no == 3
     assert err.value.reason.startswith(field)
+
+
+def test_mistyped_message_names_the_entry_and_is_capped() -> None:
+    line = GOOD_LINE.replace("[1, 2]", str([*range(100_000), 1.5]))
+    with pytest.raises(ParseError) as err:
+        load_traces(io.StringIO(line + "\n"))
+    assert err.value.reason == "early_topk[100000] must be an int64 token id, got 1.5"
+    long_id = GOOD_LINE.replace('"a"', str([*range(100_000)]))
+    with pytest.raises(ParseError) as err:
+        load_traces(io.StringIO(long_id + "\n"))
+    assert err.value.reason.startswith("example_id must be a string, got [0, 1, 2, ")
+    assert len(err.value.reason) < 100
 
 
 def test_duplicate_id_names_its_line() -> None:

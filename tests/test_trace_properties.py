@@ -190,6 +190,12 @@ def _outcome(text: str):
     '{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "x": '
     + "[" * 5000 + "]" * 5000 + "}",
 ])
+@example(lines=[  # orjson reads 2**63 as an int, so the type gate alone keeps it from the table
+    f'{{"example_id": "a", "position": {2**63}, "early_topk": [1], "final": 1}}',
+    f'{{"example_id": "a", "position": 1, "early_topk": [1, {2**63}], "final": 1}}',
+    f'{{"example_id": "a", "position": 1, "early_topk": [1], "final": {2**63}}}',
+    f'{{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "layer": {2**63}}}',
+])
 def test_fast_parse_equals_the_stdlib_decoder(lines: list[str]) -> None:
     # the whole file, for the order of faults, and each line alone, which no earlier fault hides
     texts = ["\n".join(lines) + "\n"] + [line + "\n" for line in lines]
