@@ -12,12 +12,15 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analytic, mockmodel, schedule, stochastic, svgout, trace
 from .core import DecodingConfig, DomainError, LatencyComputeReport, MatchSequence
 from .rng import Stream
-from .tracetable import _unique_keys
+from .tracetable import decode_json
+
+CONFIG_KEYS = ("d", "dbar", "k", "l", "p")  # a --config file's keys, each also a flag
 
 
 def _positive_int(text: str) -> int:
@@ -55,33 +58,27 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=float, default=None, help="match probability")
 
 
-def _merged_config(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
-    merged: dict = {}
-    if getattr(args, "config", None) is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh, object_pairs_hook=_unique_keys)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"--config {args.config}: invalid JSON ({exc})") from None
-            except UnicodeDecodeError as exc:
-                raise DomainError(f"--config {args.config}: not valid UTF-8 ({exc})") from None
-            except ValueError as exc:  # a repeated key, or an int too long to convert
-                raise DomainError(f"--config {args.config}: {exc}") from None
-            except RecursionError:
-                raise DomainError(
-                    f"--config {args.config}: invalid JSON (nesting too deep)") from None
-        if not isinstance(loaded, dict):
+def _config(args: argparse.Namespace, required: tuple[str, ...]) -> DecodingConfig:
+    """The config of ``--config`` and the flags; a flag replaces the file's value."""
+    values: dict = {}
+    if args.config is not None:
+        try:
+            values = decode_json(args.config.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"--config {args.config}: not valid UTF-8 ({exc})") from None
+        except DomainError as exc:
+            raise DomainError(f"--config {args.config}: {exc}") from None
+        if not isinstance(values, dict):
             raise DomainError("--config file must hold a JSON object")
-        merged.update(loaded)
-    # DecodingConfig checks the values' types
-    for key in ("d", "dbar", "k", "l", "p"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    missing = [key for key in required if merged.get(key) is None]
+        if unknown := sorted(set(values) - set(CONFIG_KEYS)):
+            raise DomainError(f"--config {args.config}: unknown key(s) {', '.join(unknown)}")
+    values.update((key, getattr(args, key)) for key in CONFIG_KEYS
+                  if getattr(args, key) is not None)
+    missing = [key for key in required if values.get(key) is None]
     if missing:
         raise DomainError(f"missing required flag(s): {', '.join('--' + m for m in missing)}")
-    return merged
+    # DecodingConfig checks the values' types
+    return DecodingConfig(values["d"], values["dbar"], values["k"], values["l"], values.get("p"))
 
 
 def _write_or_print(content: str, out: Path | None) -> None:
@@ -92,18 +89,13 @@ def _write_or_print(content: str, out: Path | None) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args, required=("d", "dbar", "k", "l", "p"))
-    config = DecodingConfig(cfg["d"], cfg["dbar"], cfg["k"], cfg["l"], cfg["p"])
+    config = _config(args, required=CONFIG_KEYS)
     latency = analytic.expected_latency(config)
     compute = analytic.expected_total_compute(config)
     report = LatencyComputeReport.from_totals(latency, compute, config.ell)
     point = analytic.tradeoff_point(config)
-    fields: dict = {
-        "d": config.d,
-        "d_bar": config.d_bar,
-        "k": config.k,
-        "ell": config.ell,
-        "p_correct": config.p_correct,
+    fields = {
+        **asdict(config),
         "expected_latency": report.total_latency,
         "expected_total_compute": report.total_compute,
         "per_token_latency": report.per_token_latency,
@@ -158,41 +150,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args, required=("d", "dbar", "k", "l", "p"))
-    config = DecodingConfig(cfg["d"], cfg["dbar"], cfg["k"], cfg["l"], cfg["p"])
-    summary = stochastic.monte_carlo(config, args.trials, args.seed)
+    summary = stochastic.monte_carlo(_config(args, required=CONFIG_KEYS), args.trials, args.seed)
     sys.stdout.write(stochastic.summary_to_json(summary))
     return 0
 
 
+GANTT = {"text": schedule.text_gantt, "csv": schedule.events_to_csv, "svg": schedule.svg_gantt}
+
+
 def cmd_schedule(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args, required=("d", "dbar", "k", "l"))
     # the config's own rules (ell >= 1 among them, and p's when it is given) come first
-    config = DecodingConfig(cfg["d"], cfg["dbar"], cfg["k"], cfg["l"], cfg.get("p"))
-    ell = config.ell
+    config = _config(args, required=("d", "dbar", "k", "l"))
     if args.matches is not None:
         matches = MatchSequence.from_string(args.matches)
-        if len(matches.bits) != ell - 1:
-            raise DomainError(
-                f"--matches must have l-1 = {ell - 1} bits, got {len(matches.bits)}"
-            )
     elif config.p_correct is None:
         raise DomainError("give --matches or --p (with --seed) to define the match bits")
     else:
         matches = stochastic.sample_match_sequence(
-            Stream.from_seed(args.seed), config.p_correct, ell
+            Stream.from_seed(args.seed), config.p_correct, config.ell
         )
-    timeline = schedule.build_schedule(config, matches)
+    timeline = schedule.build_schedule(config, matches)  # which checks the match-bit count
     report = schedule.verify_identities(timeline)
     sys.stdout.write(schedule.identity_report_to_json(report))
     if args.gantt is not None:
-        if args.gantt == "text":
-            artifact = schedule.text_gantt(timeline)
-        elif args.gantt == "csv":
-            artifact = schedule.events_to_csv(timeline)
-        else:
-            artifact = schedule.svg_gantt(timeline)
-        _write_or_print(artifact, args.out)
+        _write_or_print(GANTT[args.gantt](timeline), args.out)
     return 0 if report.ok else 1
 
 
@@ -295,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="explicit match bits, e.g. TTFT (length l-1)")
     p_sched.add_argument("--seed", type=int, default=0,
                          help="seed for sampling match bits when --p is used")
-    p_sched.add_argument("--gantt", choices=("text", "csv", "svg"), default=None,
+    p_sched.add_argument("--gantt", choices=tuple(GANTT), default=None,
                          help="also emit the timeline in this form")
     p_sched.add_argument("--out", type=Path, default=None,
                          help="file for the timeline artifact (stdout if omitted)")

@@ -59,7 +59,7 @@ def build_schedule(config: DecodingConfig, matches: MatchSequence) -> ScheduleTi
     d, d_bar, k, ell = config.d, config.d_bar, config.k, config.ell
     if len(matches.bits) != ell - 1:
         raise DomainError(
-            f"need {ell - 1} match bits for ell={ell}, got {len(matches.bits)}"
+            f"need ell-1 = {ell - 1} match bits for ell={ell}, got {len(matches.bits)}"
         )
 
     window = d - d_bar

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,22 +91,4 @@ def monte_carlo(config: DecodingConfig, trials: int, seed: int) -> MonteCarloSum
 
 
 def summary_to_json(summary: MonteCarloSummary) -> str:
-    cfg = summary.config
-    payload = {
-        "config": {
-            "d": cfg.d,
-            "d_bar": cfg.d_bar,
-            "k": cfg.k,
-            "ell": cfg.ell,
-            "p_correct": cfg.p_correct,
-        },
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "mean_latency": summary.mean_latency,
-        "mean_compute": summary.mean_compute,
-        "mean_n_runs": summary.mean_n_runs,
-        "stderr_latency": summary.stderr_latency,
-        "stderr_compute": summary.stderr_compute,
-        "stderr_n_runs": summary.stderr_n_runs,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(asdict(summary), indent=2) + "\n"

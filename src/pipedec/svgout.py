@@ -65,8 +65,6 @@ def line_plot(
 
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts]
-    if not xs:
-        return document(width, height, [text(margin_l, height // 2, "empty sweep")])
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:

@@ -224,20 +224,38 @@ def _table_from_rows(
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise ValueError(f"duplicate key {repeated!r}")
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def decode_json(text: str) -> object:
+    """``text`` decoded by the stdlib with a repeated key rejected: the package's one strict
+    JSON decoder, for trace lines and ``--config`` files.  DomainError gives the reason.
+    """
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # a repeated key, or an int too long to convert
+        raise DomainError(str(exc)) from None
+    except RecursionError:
+        raise DomainError("invalid JSON (nesting too deep)") from None
+
+
 # a line of at most this many characters opens at most 256 arrays and objects (each takes
 # two), so only a longer line needs its brackets counted
 _SHALLOW_LINE = 512
 
 
 def _fast_decode(line: str, loads) -> dict | None:
-    """``loads(line)`` when it provably equals ``_DECODER.decode(line)``, else None.
+    """``loads(line)`` when it provably equals ``decode_json(line)``, else None.
 
     ``loads`` is orjson's.  Where the stdlib decoder rejects a repeated
     key, keeps an integer beyond 64 bits exact and stops at the recursion
@@ -305,13 +323,9 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
             obj = _fast_decode(line, loads)
             if obj is None:
                 try:
-                    obj = _DECODER.decode(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(line_no, f"invalid JSON ({exc.msg})") from None
-                except ValueError as exc:  # a repeated key, or an int too long to convert
+                    obj = decode_json(line)
+                except DomainError as exc:
                     raise ParseError(line_no, str(exc)) from None
-                except RecursionError:
-                    raise ParseError(line_no, "invalid JSON (nesting too deep)") from None
                 if type(obj) is not dict:
                     raise ParseError(line_no, "each line must be a JSON object")
                 for key in ("example_id", "position", "early_topk", "final"):

@@ -153,6 +153,24 @@ def test_sweep_empty_list_flags_are_usage_errors(capsys) -> None:
                             "--k-list", capsys)
 
 
+def test_sweep_p_steps_edges(capsys) -> None:
+    base = ["sweep", "--d", "40", "--dbar", "20", "--k-list", "1",
+            "--p-from", "0.25", "--p-to", "0.75"]
+    assert main(base + ["--p-steps", "0"]) == 2
+    assert "--p-steps must be >= 1" in _single_error_line(capsys)
+    assert main(base + ["--p-steps", "1"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [row.split(",")[1] for row in rows] == ["0.25"]
+
+
+def test_sweep_svg_per_token_axis(tmp_path, capsys) -> None:
+    svg = tmp_path / "curve.svg"
+    assert main(SWEEP + ["--svg", str(svg), "--svg-y", "token"]) == 0
+    text = svg.read_text(encoding="utf-8")
+    ET.fromstring(text)
+    assert "compute per token" in text and "compute per time unit" not in text
+
+
 def test_sweep_invalid_grid(capsys) -> None:
     assert main(["sweep", "--d", "40", "--dbar", "20", "--l", "16",
                  "--k-list", "1", "--p-list", "0.5,1.5"]) == 2
@@ -207,6 +225,11 @@ def test_schedule_match_length_mismatch(capsys) -> None:
     assert main(["schedule", "--d", "40", "--dbar", "30", "--k", "3", "--l", "3",
                  "--matches", "T"]) == 2
     assert "l-1" in capsys.readouterr().err
+
+
+def test_schedule_needs_matches_or_p(capsys) -> None:
+    assert main(["schedule", "--d", "40", "--dbar", "30", "--k", "3", "--l", "3"]) == 2
+    assert "give --matches or --p" in _single_error_line(capsys)
 
 
 def test_schedule_gantt_artifacts(tmp_path, capsys) -> None:
@@ -296,6 +319,14 @@ def test_deep_nesting_is_a_usage_error(tmp_path, capsys) -> None:
 GOOD_CONFIG = {"d": 40, "dbar": 20, "k": 3, "l": 8, "p": 0.5}
 
 
+def test_config_unknown_keys_are_usage_error(tmp_path, capsys) -> None:
+    # simulate's own flags written into the file are not dropped in silence
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**GOOD_CONFIG, "trials": 7, "seed": 3}))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert _single_error_line(capsys) == f"error: --config {cfg}: unknown key(s) seed, trials\n"
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -311,9 +342,13 @@ GOOD_CONFIG = {"d": 40, "dbar": 20, "k": 3, "l": 8, "p": 0.5}
          "--config {cfg}: duplicate key 'p'"),
         (json.dumps(GOOD_CONFIG).replace("40", "9" * 5000).encode(),
          "--config {cfg}: Exceeds the limit (4300 digits) for integer string conversion"),
+        # the decoder's reason, with no line and column
+        (b'{"d": 40, "dbar": 20,',
+         "--config {cfg}: invalid JSON (Expecting property name enclosed in double quotes)\n"),
+        (b"[1]", "--config file must hold a JSON object"),
     ],
     ids=["string_d", "float_d", "bool_k", "float_l", "string_p", "bool_p", "non_utf8_file",
-         "repeated_key", "int_too_long"],
+         "repeated_key", "int_too_long", "malformed", "not_an_object"],
 )
 def test_config_wrong_type_is_usage_error(tmp_path, capsys, change, message) -> None:
     cfg = tmp_path / "cfg.json"
@@ -392,9 +427,9 @@ def _python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_no_process_machinery() -> None:
-    # they cost ~20 ms at import, which every command would pay
+    # they cost ~20 ms at import, which every command would pay; orjson is for trace files only
     out = _python("import sys, pipedec.cli; "
-                  "print([m for m in ('multiprocessing', 'concurrent.futures') "
+                  "print([m for m in ('multiprocessing', 'concurrent.futures', 'orjson') "
                   "if m in sys.modules])").stdout
     assert out == "[]\n"
 

@@ -196,6 +196,7 @@ def test_decode_ppd_rejects_bad_arguments() -> None:
 @pytest.mark.parametrize("field, value", [
     ("vocab_size", 2.5), ("vocab_size", 16.0), ("vocab_size", True),
     ("depth", 8.0), ("seed", 1.5), ("bias", "0.5"), ("bias", True),
+    ("vocab_size", 1), ("depth", 0),
 ])
 def test_mock_model_rejects_mistyped_fields(field, value) -> None:
     with pytest.raises(DomainError, match=field):

@@ -104,6 +104,11 @@ def test_monte_carlo_degenerate_cases() -> None:
     assert single.stderr_latency == 0.0
 
 
+def test_monte_carlo_rejects_zero_trials() -> None:
+    with pytest.raises(DomainError, match="trials must be >= 1, got 0"):
+        monte_carlo(DecodingConfig(40, 20, 3, 8, 0.5), 0, 1)
+
+
 def test_monte_carlo_is_bit_reproducible() -> None:
     cfg = DecodingConfig(40, 20, 3, 128, 0.5)
     assert monte_carlo(cfg, 3000, 123) == monte_carlo(cfg, 3000, 123)

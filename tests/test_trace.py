@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ def test_planted_trace_is_deterministic() -> None:
     assert planted_trace(0.3, 50, 2, seed=13) != planted_trace(0.3, 50, 2, seed=14)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"k": 0}, "need 1 <= k < vocab, got k=0, vocab=1000"),
+    ({"k": 1000}, "need 1 <= k < vocab, got k=1000, vocab=1000"),
+    ({"positions_per_example": 0}, "positions_per_example must be >= 1, got 0"),
+])
+def test_planted_trace_rejects_a_bad_shape(change, message) -> None:
+    with pytest.raises(DomainError, match=message):
+        planted_trace(**{"p_correct": 0.5, "n_positions": 10, "k": 2, "seed": 0, **change})
+
+
 GOOD_LINE = '{"example_id": "a", "position": 1, "early_topk": [1, 2], "final": 2}'
 
 
@@ -289,6 +300,16 @@ def test_duplicate_key_names_its_line() -> None:
     assert err.value.line_no == 2
     # unknown keys are ignored
     assert len(load_traces(io.StringIO(GOOD_LINE.replace("}", ', "note": {"x": 1}}')))) == 1
+
+
+def test_duplicate_key_among_many_keys_is_found_in_linear_time() -> None:
+    # looking for the repeat in every prefix of the keys took ~25 s here
+    extra = ", ".join(f'"x{i}": 0' for i in range(50_000))
+    line = GOOD_LINE.replace("}", f', {extra}, "x17": 1}}')
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="line 1: duplicate key 'x17'"):
+        load_traces(io.StringIO(line + "\n"))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_first_bad_line_is_reported() -> None:
