@@ -116,9 +116,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.p_list is not None:
+        for flag in ("p_from", "p_to", "p_steps"):
+            if getattr(args, flag) is not None:
+                raise DomainError(f"--p-list and --{flag.replace('_', '-')} exclude each other: "
+                                  "give either --p-list or --p-from/--p-to/--p-steps")
         p_values = args.p_list
     elif args.p_from is not None and args.p_to is not None:
-        steps = args.p_steps
+        steps = 9 if args.p_steps is None else args.p_steps
         if steps < 1:
             raise DomainError("--p-steps must be >= 1")
         if steps == 1:
@@ -162,12 +166,16 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     # the config's own rules (ell >= 1 among them, and p's when it is given) come first
     config = _config(args, required=("d", "dbar", "k", "l"))
     if args.matches is not None:
+        for flag in ("p", "seed"):
+            if getattr(args, flag) is not None:
+                raise DomainError(f"--matches and --{flag} exclude each other: give the match "
+                                  "bits with --matches, or sample them with --p and --seed")
         matches = MatchSequence.from_string(args.matches)
     elif config.p_correct is None:
         raise DomainError("give --matches or --p (with --seed) to define the match bits")
     else:
         matches = stochastic.sample_match_sequence(
-            Stream.from_seed(args.seed), config.p_correct, config.ell
+            Stream.from_seed(0 if args.seed is None else args.seed), config.p_correct, config.ell
         )
     timeline = schedule.build_schedule(config, matches)  # which checks the match-bit count
     report = schedule.verify_identities(timeline)
@@ -257,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p-list", type=_float_list, default=None, dest="p_list")
     p_sweep.add_argument("--p-from", type=float, default=None, dest="p_from")
     p_sweep.add_argument("--p-to", type=float, default=None, dest="p_to")
-    p_sweep.add_argument("--p-steps", type=int, default=9, dest="p_steps")
+    p_sweep.add_argument("--p-steps", type=int, default=None, dest="p_steps",
+                         help="grid points from --p-from to --p-to (default 9)")
     p_sweep.add_argument("--out", type=Path, default=None, help="CSV path (stdout if omitted)")
     p_sweep.add_argument("--svg", type=Path, default=None, help="optional SVG plot path")
     p_sweep.add_argument("--svg-y", choices=("time-unit", "token"), default="time-unit",
@@ -274,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_sched)
     p_sched.add_argument("--matches", type=str, default=None,
                          help="explicit match bits, e.g. TTFT (length l-1)")
-    p_sched.add_argument("--seed", type=int, default=0,
-                         help="seed for sampling match bits when --p is used")
+    p_sched.add_argument("--seed", type=int, default=None,
+                         help="seed for sampling match bits with --p (default 0)")
     p_sched.add_argument("--gantt", choices=tuple(GANTT), default=None,
                          help="also emit the timeline in this form")
     p_sched.add_argument("--out", type=Path, default=None,

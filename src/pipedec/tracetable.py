@@ -9,8 +9,9 @@ In memory it is a ``TraceTable``, one numpy column per field, so that
 synthesis, I/O and estimation work on whole columns rather than on one
 object per line.  Field types are strict: a bool, float, null or
 numeric string where an integer belongs is an error, never coerced.
-One function, ``_mistyped``, states these types; the loader runs it
-once per line, as it reads that line.
+``_mistyped`` states these types for one row; the loader's fast parse
+checks the same types a column at a time over a block of lines, and a
+line it declines goes to the stdlib decoder and ``_mistyped``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
-from itertools import chain
+from itertools import chain, compress, count, islice, repeat
+from operator import add, itemgetter
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -28,7 +30,8 @@ from .core import DomainError
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-# rows per block when a table is turned back into Python values, which bounds that memory
+# rows per block of trace I/O: save_traces formats, and load_traces parses and checks, this
+# many rows at a time, which bounds the memory their Python values take
 _ROW_BLOCK = 4096
 # an error message echoes at most this many characters of a bad value's repr
 _ECHO_CHARS = 40
@@ -132,17 +135,11 @@ class TraceTable:
                 else f"duplicate ids in early_topk: {topk[row, : lens[row]].tolist()}"
             )
             if line_nos is not None:  # the row came from a file: report it by trace line
-                raise ParseError(line_nos[row], reason)
+                raise ParseError(int(line_nos[row]), reason)
             raise DomainError(f"row {row}: {reason}")
 
     def __len__(self) -> int:
         return len(self.position)
-
-    def _rows(self) -> Iterator[tuple]:
-        """Each row's column values as Python scalars, converted a block at a time."""
-        for start in range(0, len(self), _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            yield from zip(*(getattr(self, name)[block].tolist() for name in _ROW_COLUMNS))
 
     def _row_ids(self) -> np.ndarray:
         return np.array(self.example_ids, dtype=object)[self.example_code]
@@ -175,9 +172,10 @@ def _echo(value: object) -> str:
 
 
 def _mistyped(obj: dict) -> str | None:
-    """Why a line's fields are not of their strict types, or None: the one statement of a
-    row's types, run once per loaded line.  A missing field reads as None; ``layer`` may be
-    absent, but a present ``"layer": null`` is mistyped.  The reason starts with the field.
+    """Why a line's fields are not of their strict types, or None: the statement of a row's
+    types, run on each line that the fast parse declines.  A missing field reads as None;
+    ``layer`` may be absent, but a present ``"layer": null`` is mistyped.  The reason starts
+    with the field.
     """
     if type(example_id := obj.get("example_id")) is not str:
         return f"example_id must be a string, got {_echo(example_id)}"
@@ -194,31 +192,6 @@ def _mistyped(obj: dict) -> str | None:
     if "layer" in obj and not _is_int64(layer := obj["layer"]):
         return f"layer must be an int64 integer or absent, got {_echo(layer)}"
     return None
-
-
-def _table_from_rows(
-    ids: list, positions: list, early: list, finals: list, layers: list, line_nos: list[int]
-) -> TraceTable:
-    """A table from the loader's per-row values, which ``_mistyped`` has passed."""
-    lens = np.fromiter(map(len, early), np.int64, len(early))
-    kmax = int(lens.max(initial=0))
-    topk = np.zeros((len(early), kmax), np.int64)
-    topk[np.arange(kmax) < lens[:, None]] = np.array(list(chain.from_iterable(early)), np.int64)
-    index: dict[str, int] = {}
-    codes = [index.setdefault(s, len(index)) for s in ids]
-    columns = dict(
-        example_code=np.array(codes, np.int64),
-        position=np.array(positions, np.int64),
-        topk=topk,
-        topk_len=lens,
-        final=np.array(finals, np.int64),
-        layer=np.array([0 if v is None else v for v in layers], np.int64),
-        layer_absent=np.array([v is None for v in layers], bool),
-    )
-    # read-only, so that the constructor takes these arrays over instead of copying them
-    for col in columns.values():
-        col.setflags(write=False)
-    return TraceTable(example_ids=tuple(index), line_nos=line_nos, **columns)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -249,37 +222,167 @@ def decode_json(text: str) -> object:
         raise DomainError("invalid JSON (nesting too deep)") from None
 
 
+
+
 # a line of at most this many characters opens at most 256 arrays and objects (each takes
 # two), so only a longer line needs its brackets counted
 _SHALLOW_LINE = 512
+_REQUIRED = ("example_id", "position", "early_topk", "final")
 
 
-def _fast_decode(line: str, loads) -> dict | None:
-    """``loads(line)`` when it provably equals ``decode_json(line)``, else None.
+def _fast_parse(lines: list[str], loads) -> tuple | None:
+    """The columns of stripped, non-blank lines as ``loads`` reads them (example ids,
+    positions, early_topk lists, finals, and layers with None where absent), when that
+    provably equals ``decode_json``'s reading and every row passes ``_mistyped``; else None.
 
     ``loads`` is orjson's.  Where the stdlib decoder rejects a repeated
     key, keeps an integer beyond 64 bits exact and stops at the recursion
     limit (depth ~1000), orjson keeps the last value, reads the integer as
-    a float and reads any depth.  So its parse is kept only when the line
-    has no backslash (every ``"`` then delimits a string), its ``"`` count
-    leaves room for no string but the keys and ``example_id`` (so no key
-    repeats at any depth), the line opens at most 256 arrays and objects,
-    and the row passes ``_mistyped``, the loader's one type gate, which
-    admits no float and no integer beyond int64.
+    a float and reads any depth.  So the parse is kept only when the lines
+    hold no backslash (every ``"`` then delimits a string), their ``"``
+    count leaves room for no string but the keys and ``example_id`` (so no
+    key repeats at any depth), each line opens at most 256 arrays and
+    objects, and each column holds exactly the types that ``_mistyped``
+    admits: no bool, no float, no integer beyond int64, no ``"layer":
+    null``.  Each check runs once over the whole block.  orjson rejects a
+    lone surrogate, which a line that is not UTF-8 holds once read, so such
+    a line is never kept.
     """
+    text = "".join(lines)
+    if "\\" in text:
+        return None
     try:
-        obj = loads(line)
+        objs = list(map(loads, lines))
     except json.JSONDecodeError:
         return None
+    # a row's quotes are at least its keys' and its example_id's, so a block total that
+    # equals theirs leaves no row room for more
     if (
-        type(obj) is dict
-        and "\\" not in line
-        and line.count('"') == 2 * len(obj) + 2
-        and (len(line) <= _SHALLOW_LINE or line.count("[") + line.count("{") <= 256)
-        and _mistyped(obj) is None
+        {*map(type, objs)} != {dict}
+        or text.count('"') != 2 * sum(map(len, objs)) + 2 * len(objs)
+        or max(map(len, lines)) > _SHALLOW_LINE and any(
+            line.count("[") + line.count("{") > 256 for line in lines if len(line) > _SHALLOW_LINE)
     ):
-        return obj
-    return None
+        return None
+    try:
+        ids, positions, early, finals = (list(map(itemgetter(key), objs)) for key in _REQUIRED)
+    except KeyError:
+        return None
+    layers = list(map(dict.get, objs, repeat("layer")))
+    if {*map(type, ids)} != {str} or {*map(type, early)} != {list}:
+        return None
+    present = layers
+    if None in layers:  # absent, or a null that _mistyped rejects
+        present = [v for v in layers if v is not None]
+        if sum(map(dict.__contains__, objs, repeat("layer"))) != len(present):
+            return None
+    for col in (positions, finals, list(chain.from_iterable(early)), present):
+        if col and ({*map(type, col)} != {int} or min(col) < _INT64_MIN or max(col) > _INT64_MAX):
+            return None
+    return ids, positions, early, finals, layers
+
+
+def _decode_line(raw: str, line_no: int) -> tuple:
+    """One line's row (example_id, position, early_topk, final, layer or None) as the stdlib
+    decoder reads it, the arbiter of every result and message, with ``_mistyped`` deciding
+    its types; a fault raises ParseError.
+    """
+    if not raw.isascii():
+        try:
+            raw.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeError as exc:
+            # a lone surrogate from a text stream fails the encode, whose start counts
+            # characters; report the byte offset of the bad character
+            byte = exc.start if isinstance(exc, UnicodeDecodeError) else len(
+                raw[: exc.start].encode("utf-8", "surrogateescape"))
+            raise ParseError(line_no, f"not valid UTF-8 (utf-8 codec: {exc.reason} "
+                                      f"at byte {byte + 1})") from None
+    try:
+        obj = decode_json(raw.strip())
+    except DomainError as exc:
+        raise ParseError(line_no, str(exc)) from None
+    if type(obj) is not dict:
+        raise ParseError(line_no, "each line must be a JSON object")
+    for key in _REQUIRED:
+        if key not in obj:
+            raise ParseError(line_no, f"missing field {key!r}")
+    if (why := _mistyped(obj)) is not None:
+        raise ParseError(line_no, why)
+    return obj["example_id"], obj["position"], obj["early_topk"], obj["final"], obj.get("layer")
+
+
+def _read_block(raw: list[str], first: int, loads) -> tuple:
+    """The ``_fast_parse`` columns and the line numbers of a block of lines numbered from
+    ``first``, up to its first fault, and that fault, a ParseError, or None.  Blank lines
+    are skipped.
+
+    A block the fast parse declines is split around each line holding a backslash, which
+    the fast parse always declines, and each run between them is tried as a block; each
+    line of a declined run is tried alone, and a line the fast parse declines goes to
+    ``_decode_line``.
+    """
+    lines = list(map(str.strip, raw))
+    line_nos = np.arange(first, first + len(raw))
+    if not all(lines):
+        line_nos = line_nos[list(map(bool, lines))]
+        raw = list(compress(raw, lines))
+        lines = list(filter(None, lines))
+    columns = _fast_parse(lines, loads)
+    if columns is not None:
+        return columns, line_nos, None
+    escaped = [i for i, line in enumerate(lines) if "\\" in line]
+    cuts = sorted({0, len(lines), *escaped, *(i + 1 for i in escaped)})
+    rows: list[tuple] = []
+    fault = None
+    try:
+        for lo, hi in zip(cuts, cuts[1:]):
+            # a run that is the whole block, or a line that is the whole run, was tried already
+            run = _fast_parse(lines[lo:hi], loads) if hi - lo < len(lines) else None
+            if run is not None:
+                rows += zip(*run)
+                continue
+            for i in range(lo, hi):
+                row = _fast_parse(lines[i : i + 1], loads) if hi - lo > 1 else None
+                rows += zip(*row) if row is not None else [_decode_line(raw[i], int(line_nos[i]))]
+    except ParseError as exc:
+        fault = exc
+    return list(zip(*rows)) or [()] * 5, line_nos[: len(rows)], fault
+
+
+def _arrays(columns: tuple, line_nos, index: dict[str, int]) -> tuple[np.ndarray, ...]:
+    """One block's ``_fast_parse`` columns as int64 arrays (bool for layer_absent), with the
+    topk ids flattened; ``index`` codes the example ids and grows by the block's new ones."""
+    ids, positions, early, finals, layers = columns
+    for s in dict.fromkeys(ids):
+        index.setdefault(s, len(index))
+    absent = np.zeros(len(layers), bool)
+    if None in layers:
+        absent[:] = [v is None for v in layers]
+        layers = [0 if v is None else v for v in layers]
+    return (
+        np.array(list(map(index.__getitem__, ids)), np.int64),
+        np.array(positions, np.int64),
+        np.fromiter(map(len, early), np.int64, len(early)),
+        np.array(list(chain.from_iterable(early)), np.int64),
+        np.array(finals, np.int64),
+        np.array(layers, np.int64),
+        absent,
+        np.asarray(line_nos, np.int64),
+    )
+
+
+def _table(blocks: list[tuple[np.ndarray, ...]], index: dict[str, int]) -> TraceTable:
+    """A table from the loader's blocks of ``_arrays``."""
+    code, position, lens, flat, final, layer, absent, line_nos = map(np.concatenate, zip(*blocks))
+    kmax = int(lens.max(initial=0))
+    topk = np.zeros((len(lens), kmax), np.int64)
+    topk[np.arange(kmax) < lens[:, None]] = flat
+    columns = dict(example_code=code, position=position, topk=topk, topk_len=lens,
+                   final=final, layer=layer, layer_absent=absent)
+    # read-only, so that the constructor takes these arrays over instead of copying them
+    for col in columns.values():
+        col.setflags(write=False)
+    return TraceTable(example_ids=tuple(index), line_nos=line_nos, **columns)
 
 
 def load_traces(source: str | Path | IO[str]) -> TraceTable:
@@ -292,56 +395,32 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
     are ignored.  A line that is not UTF-8 raises ParseError too.  Faults
     are reported in file order, the first one only.
 
-    orjson parses each line; the stdlib decoder, the arbiter of every
-    result and message, parses a line whose orjson result could differ.
-    Either way ``_mistyped`` decides the line's types once, at that line.
+    Lines are read ``_ROW_BLOCK`` at a time.  orjson parses a block, and
+    the block is kept whole when ``_fast_parse`` proves that reading equal
+    to the stdlib decoder's; else ``_read_block`` tries smaller runs of it,
+    down to single lines, and a line the fast parse declines goes to the
+    stdlib decoder and ``_mistyped``.  Each block becomes numpy columns
+    before the next is read.
     """
     if isinstance(source, (str, Path)):
-        # undecodable bytes become lone surrogates, which the loop below reports by line
+        # undecodable bytes become lone surrogates, which _decode_line reports by line
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return load_traces(fh)
     from orjson import loads  # imported here so that commands reading no trace do not pay
 
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
-    ids, positions, early, finals, layers, line_nos = columns
+    index: dict[str, int] = {}
+    blocks = [_arrays([()] * 5, [], index)]  # empty, so that a file of no rows has columns
+    source = iter(source)
     fault = None
-    try:
-        for line_no, line in enumerate(source, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeError as exc:
-                    # a lone surrogate from a text stream fails the encode, whose start
-                    # counts characters; report the byte offset of the bad character
-                    byte = exc.start if isinstance(exc, UnicodeDecodeError) else len(
-                        line[: exc.start].encode("utf-8", "surrogateescape"))
-                    raise ParseError(line_no, f"not valid UTF-8 (utf-8 codec: {exc.reason} "
-                                              f"at byte {byte + 1})") from None
-            line = line.strip()
-            if not line:
-                continue
-            obj = _fast_decode(line, loads)
-            if obj is None:
-                try:
-                    obj = decode_json(line)
-                except DomainError as exc:
-                    raise ParseError(line_no, str(exc)) from None
-                if type(obj) is not dict:
-                    raise ParseError(line_no, "each line must be a JSON object")
-                for key in ("example_id", "position", "early_topk", "final"):
-                    if key not in obj:
-                        raise ParseError(line_no, f"missing field {key!r}")
-                if (why := _mistyped(obj)) is not None:
-                    raise ParseError(line_no, why)
-            ids.append(obj["example_id"])
-            positions.append(obj["position"])
-            early.append(obj["early_topk"])
-            finals.append(obj["final"])
-            layers.append(obj.get("layer"))
-            line_nos.append(line_no)
-    except ParseError as exc:
-        fault = exc  # pending: a bad value on an earlier line is reported first
-    table = _table_from_rows(*columns)
+    for first in count(1, _ROW_BLOCK):
+        raw = list(islice(source, _ROW_BLOCK))
+        if not raw:
+            break
+        columns, line_nos, fault = _read_block(raw, first, loads)
+        blocks.append(_arrays(columns, line_nos, index))
+        if fault is not None:
+            break  # the table is built first: a bad value on an earlier line is reported first
+    table = _table(blocks, index)
     if fault is not None:
         raise fault
     return table
@@ -351,19 +430,33 @@ def save_traces(table: TraceTable, sink: str | Path | IO[str]) -> None:
     """Write a table as JSONL; load_traces(save_traces(t)) is the identity.
 
     Each line is byte-identical to ``json.dumps`` of the row's object
-    (ASCII escapes included), with ``layer`` omitted when absent.
+    (ASCII escapes included), with ``layer`` omitted when absent.  Each
+    block of ``_ROW_BLOCK`` rows is one ``%`` format: a row's template is
+    its example id's head and the template of its shape, (topk length,
+    layer absent), and the block's kept int64 cells fill the ``%d`` slots
+    in row order.
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
             save_traces(table, fh)
             return
-    quoted = [json.dumps(s) for s in table.example_ids]
-
-    def lines() -> Iterator[str]:
-        for code, pos, row, n, fin, lay, absent in table._rows():
-            # str() of a list of ints is its JSON text
-            head = (f'{{"example_id": {quoted[code]}, "position": {pos}, '
-                    f'"early_topk": {row[:n]}, "final": {fin}')
-            yield f"{head}}}\n" if absent else f'{head}, "layer": {lay}}}\n'
-
-    sink.writelines(lines())
+    # %d of an int is its JSON text; the quoted id is JSON text, with % doubled for the format
+    heads = ['{"example_id": ' + json.dumps(s).replace("%", "%%")
+             + ', "position": %d, "early_topk": [' for s in table.example_ids]
+    shape = 2 * table.topk_len + table.layer_absent
+    tails = {
+        key: ", ".join(["%d"] * (key // 2))
+        + ('], "final": %d}\n' if key % 2 else '], "final": %d, "layer": %d}\n')
+        for key in np.unique(shape).tolist()
+    }
+    kmax = table.topk.shape[1]
+    for start in range(0, len(table), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        cells = np.column_stack(
+            (table.position[rows], table.topk[rows], table.final[rows], table.layer[rows]))
+        kept = np.ones(cells.shape, bool)
+        kept[:, 1 : kmax + 1] = np.arange(kmax) < table.topk_len[rows, None]
+        kept[:, -1] = ~table.layer_absent[rows]
+        template = "".join(map(add, map(heads.__getitem__, table.example_code[rows].tolist()),
+                               map(tails.__getitem__, shape[rows].tolist())))
+        sink.write(template % tuple(cells[kept].tolist()))

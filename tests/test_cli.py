@@ -163,6 +163,24 @@ def test_sweep_p_steps_edges(capsys) -> None:
     assert [row.split(",")[1] for row in rows] == ["0.25"]
 
 
+def test_sweep_p_list_excludes_the_grid_flags(capsys) -> None:
+    base = ["sweep", "--d", "40", "--dbar", "20", "--k-list", "1", "--p-list", "0.5"]
+    for extra in (["--p-from", "0.1", "--p-to", "0.9", "--p-steps", "3"], ["--p-to", "0.9"],
+                  ["--p-steps", "9"]):
+        assert main(base + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --p-list and {extra[0]} exclude each other")
+    # without --p-steps the grid has its default 9 points
+    grid = ["sweep", "--d", "40", "--dbar", "20", "--k-list", "1",
+            "--p-from", "0.1", "--p-to", "0.9"]
+    assert main(grid) == 0
+    default = capsys.readouterr().out
+    assert main(grid + ["--p-steps", "9"]) == 0
+    assert capsys.readouterr().out == default
+    assert len(default.strip().split("\n")) == 1 + 9
+
+
 def test_sweep_svg_per_token_axis(tmp_path, capsys) -> None:
     svg = tmp_path / "curve.svg"
     assert main(SWEEP + ["--svg", str(svg), "--svg-y", "token"]) == 0
@@ -225,6 +243,22 @@ def test_schedule_match_length_mismatch(capsys) -> None:
     assert main(["schedule", "--d", "40", "--dbar", "30", "--k", "3", "--l", "3",
                  "--matches", "T"]) == 2
     assert "l-1" in capsys.readouterr().err
+
+
+def test_schedule_matches_excludes_p_and_seed(capsys) -> None:
+    base = ["schedule", "--d", "40", "--dbar", "30", "--k", "3", "--l", "3", "--matches", "TT"]
+    for extra, flag in ((["--p", "0.1", "--seed", "4"], "--p"), (["--p", "0.1"], "--p"),
+                        (["--seed", "4"], "--seed"), (["--seed", "0"], "--seed")):
+        assert main(base + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --matches and {flag} exclude each other")
+    # without --seed the match bits are sampled with seed 0
+    sampled = ["schedule", "--d", "48", "--dbar", "30", "--k", "4", "--l", "64", "--p", "0.7"]
+    assert main(sampled) == 0
+    default = capsys.readouterr().out
+    assert main(sampled + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_schedule_needs_matches_or_p(capsys) -> None:

@@ -559,3 +559,76 @@ def test_lone_surrogate_in_a_stream_reports_its_byte_offset() -> None:
     assert line.index("\ud800") == 17
     with pytest.raises(ParseError, match=r"line 1: not valid UTF-8 .*at byte 19\)"):
         load_traces(io.StringIO(line + "\n"))
+
+
+# ----------------------------------------------------- files longer than one block
+
+BLOCK = tracetable._ROW_BLOCK
+
+
+def _planted_lines(n: int) -> list[str]:
+    buf = io.StringIO()
+    save_traces(planted_trace(0.6837, n, 3, seed=0, layer=20), buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def _outcome(text: str):
+    try:
+        return load_traces(io.StringIO(text))
+    except ParseError as exc:
+        return exc.line_no, exc.reason
+
+
+def _stdlib_outcome(monkeypatch, text: str):
+    """The outcome of the loader whose fast parse declines every block and every line."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tracetable, "_fast_parse", lambda lines, loads: None)
+        return _outcome(text)
+
+
+def test_fault_in_the_second_block_names_its_line(monkeypatch) -> None:
+    lines = _planted_lines(2 * BLOCK)
+    lines[BLOCK + 17] = GOOD_LINE.replace('"position": 1', '"position": 1.5') + "\n"
+    text = "".join(lines)
+    expected = (BLOCK + 18, "position must be an int64 integer, got 1.5")
+    assert _outcome(text) == expected == _stdlib_outcome(monkeypatch, text)
+
+
+def test_table_fault_in_block_one_wins_over_parse_fault_in_block_three(monkeypatch) -> None:
+    lines = _planted_lines(3 * BLOCK)
+    lines[5] = GOOD_LINE.replace('"position": 1', '"position": 0') + "\n"
+    lines[2 * BLOCK + 9] = "not json\n"
+    text = "".join(lines)
+    expected = (6, "position must be >= 1, got 0")
+    assert _outcome(text) == expected == _stdlib_outcome(monkeypatch, text)
+
+
+def test_escaped_id_after_a_clean_block_loads_as_the_stdlib_decoder_does(monkeypatch) -> None:
+    lines = _planted_lines(2 * BLOCK)
+    escaped = json.dumps({"example_id": "café", "position": 1, "early_topk": [7, 8],
+                          "final": 8})
+    lines[BLOCK + 3] = escaped + "\n"
+    text = "".join(lines)
+    decoded = []
+    real = tracetable._DECODER.decode
+    monkeypatch.setattr(tracetable._DECODER, "decode", lambda s: decoded.append(s) or real(s))
+    table = load_traces(io.StringIO(text))
+    assert decoded == [escaped]  # the clean block and the escaped block's other lines: orjson
+    oracle = _stdlib_outcome(monkeypatch, text)
+    assert table == oracle and table.example_ids == oracle.example_ids
+    assert table.example_ids[table.example_code[BLOCK + 3]] == "café"
+
+
+def test_blank_lines_and_crlf_endings_inside_a_block(monkeypatch) -> None:
+    lines = _planted_lines(BLOCK + 100)
+    expected = load_traces(io.StringIO("".join(lines)))
+    lines = [line.replace("\n", "\r\n") if i % 3 else line for i, line in enumerate(lines)]
+    for at in (0, 7, 500, BLOCK - 3, BLOCK + 50):
+        lines.insert(at, "  \r\n" if at % 2 else "\n")
+    lines.append("\t\n")
+    text = "".join(lines)
+    assert load_traces(io.StringIO(text)) == expected == _stdlib_outcome(monkeypatch, text)
+    # a fault after the blank lines is reported at its line in the file
+    text += "{}\n"
+    expected_fault = (len(lines) + 1, "missing field 'example_id'")
+    assert _outcome(text) == expected_fault == _stdlib_outcome(monkeypatch, text)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,51 @@ def test_save_load_round_trip(rows: list[tuple], data) -> None:
     save_traces(table, buf)
     assert buf.getvalue() == text
     assert load_traces(io.StringIO(text)) == table
+
+
+INT64_EDGES = st.sampled_from([-(2**63), 2**63 - 1]) | TOKENS
+# ids a format string could misread (%), JSON escapes (", non-ASCII) and plain ones
+WRITER_IDS = st.sampled_from(["a%b", 'q"\u00e9', "%d", "%%s", "\u4f8b\\", "ex1"]) | st.text(
+    max_size=3)
+
+
+@st.composite
+def writer_rows(draw) -> tuple:
+    """One row for the writer: (example_id, position, early_topk, final, layer or None)."""
+    return (
+        draw(WRITER_IDS),
+        draw(st.sampled_from([1, 2**63 - 1]) | st.integers(1, 2**63 - 1)),
+        draw(st.lists(INT64_EDGES, max_size=4, unique=True)),
+        draw(INT64_EDGES),
+        draw(st.none() | INT64_EDGES),
+    )
+
+
+def _table(rows: list[tuple]) -> tracetable.TraceTable:
+    """The rows as a table built by the constructor, not by the loader."""
+    ids = list(dict.fromkeys(row[0] for row in rows))
+    kmax = max((len(row[2]) for row in rows), default=0)
+    return tracetable.TraceTable(
+        example_ids=tuple(ids),
+        example_code=np.array([ids.index(row[0]) for row in rows], np.int64),
+        position=np.array([row[1] for row in rows], np.int64),
+        topk=np.array([row[2] + [0] * (kmax - len(row[2])) for row in rows],
+                      np.int64).reshape(len(rows), kmax),
+        topk_len=np.array([len(row[2]) for row in rows], np.int64),
+        final=np.array([row[3] for row in rows], np.int64),
+        layer=np.array([0 if row[4] is None else row[4] for row in rows], np.int64),
+        layer_absent=np.array([row[4] is None for row in rows], bool),
+    )
+
+
+@given(rows=st.lists(writer_rows(), max_size=12), block=st.integers(1, 4))
+def test_save_traces_writes_json_dumps_of_each_row(rows: list[tuple], block: int) -> None:
+    table = _table(rows)
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tracetable, "_ROW_BLOCK", block)  # small, so that rows span blocks
+        save_traces(table, buf)
+    assert buf.getvalue() == jsonl(rows)
 
 
 def _reference(rows: list[tuple], k: int, width: int) -> MatchRateReport:
@@ -199,10 +245,12 @@ def _outcome(text: str):
 def test_fast_parse_equals_the_stdlib_decoder(lines: list[str]) -> None:
     # the whole file, for the order of faults, and each line alone, which no earlier fault hides
     texts = ["\n".join(lines) + "\n"] + [line + "\n" for line in lines]
-    shipped = [_outcome(text) for text in texts]
     with pytest.MonkeyPatch.context() as patch:
-        # the stdlib-only loader: the fast parse declines every line
-        patch.setattr(tracetable, "_fast_decode", lambda line, loads: None)
+        # blocks of three lines, so that a file of up to six crosses a block boundary
+        patch.setattr(tracetable, "_ROW_BLOCK", 3)
+        shipped = [_outcome(text) for text in texts]
+        # the stdlib-only loader: the fast parse declines every block and every line
+        patch.setattr(tracetable, "_fast_parse", lambda lines, loads: None)
         oracle = [_outcome(text) for text in texts]
     for mine, theirs in zip(shipped, oracle):
         assert type(mine) is type(theirs)
