@@ -222,38 +222,32 @@ def decode_json(text: str) -> object:
         raise DomainError("invalid JSON (nesting too deep)") from None
 
 
-
-
 # a line of at most this many characters opens at most 256 arrays and objects (each takes
 # two), so only a longer line needs its brackets counted
 _SHALLOW_LINE = 512
 _REQUIRED = ("example_id", "position", "early_topk", "final")
 
 
-def _fast_parse(lines: list[str], loads) -> tuple | None:
-    """The columns of stripped, non-blank lines as ``loads`` reads them (example ids,
-    positions, early_topk lists, finals, and layers with None where absent), when that
-    provably equals ``decode_json``'s reading and every row passes ``_mistyped``; else None.
+def _fast_parse(lines: list[str], objs: list) -> tuple | None:
+    """The columns (example ids, positions, early_topk lists, finals, and layers with None
+    where absent) of stripped, non-blank lines as orjson read them into ``objs`` (None for
+    a line it did not read), when that provably equals ``decode_json``'s reading and every
+    row passes ``_mistyped``; else None.
 
-    ``loads`` is orjson's.  Where the stdlib decoder rejects a repeated
-    key, keeps an integer beyond 64 bits exact and stops at the recursion
-    limit (depth ~1000), orjson keeps the last value, reads the integer as
-    a float and reads any depth.  So the parse is kept only when the lines
-    hold no backslash (every ``"`` then delimits a string), their ``"``
-    count leaves room for no string but the keys and ``example_id`` (so no
-    key repeats at any depth), each line opens at most 256 arrays and
-    objects, and each column holds exactly the types that ``_mistyped``
-    admits: no bool, no float, no integer beyond int64, no ``"layer":
-    null``.  Each check runs once over the whole block.  orjson rejects a
-    lone surrogate, which a line that is not UTF-8 holds once read, so such
-    a line is never kept.
+    Where the stdlib decoder rejects a repeated key, keeps an integer
+    beyond 64 bits exact and stops at the recursion limit (depth ~1000),
+    orjson keeps the last value, reads the integer as a float and reads
+    any depth.  So the parse is kept only when the lines hold no backslash
+    (every ``"`` then delimits a string), their ``"`` count leaves room
+    for no string but the keys and ``example_id`` (so no key repeats at
+    any depth), each line opens at most 256 arrays and objects, and each
+    column holds exactly the types that ``_mistyped`` admits: no bool, no
+    float, no integer beyond int64, no ``"layer": null``.  Each check runs
+    once over all the lines.  orjson rejects a lone surrogate, which a
+    line that is not UTF-8 holds once read, so such a line is never kept.
     """
     text = "".join(lines)
     if "\\" in text:
-        return None
-    try:
-        objs = list(map(loads, lines))
-    except json.JSONDecodeError:
         return None
     # a row's quotes are at least its keys' and its example_id's, so a block total that
     # equals theirs leaves no row room for more
@@ -316,10 +310,9 @@ def _read_block(raw: list[str], first: int, loads) -> tuple:
     ``first``, up to its first fault, and that fault, a ParseError, or None.  Blank lines
     are skipped.
 
-    A block the fast parse declines is split around each line holding a backslash, which
-    the fast parse always declines, and each run between them is tried as a block; each
-    line of a declined run is tried alone, and a line the fast parse declines goes to
-    ``_decode_line``.
+    orjson parses the block once, and each run of it is checked against that parse.  A
+    run the fast parse declines is halved and each half tried in turn, down to single
+    lines; a single line the fast parse declines goes to ``_decode_line``.
     """
     lines = list(map(str.strip, raw))
     line_nos = np.arange(first, first + len(raw))
@@ -327,26 +320,29 @@ def _read_block(raw: list[str], first: int, loads) -> tuple:
         line_nos = line_nos[list(map(bool, lines))]
         raw = list(compress(raw, lines))
         lines = list(filter(None, lines))
-    columns = _fast_parse(lines, loads)
-    if columns is not None:
-        return columns, line_nos, None
-    escaped = [i for i, line in enumerate(lines) if "\\" in line]
-    cuts = sorted({0, len(lines), *escaped, *(i + 1 for i in escaped)})
-    rows: list[tuple] = []
-    fault = None
     try:
-        for lo, hi in zip(cuts, cuts[1:]):
-            # a run that is the whole block, or a line that is the whole run, was tried already
-            run = _fast_parse(lines[lo:hi], loads) if hi - lo < len(lines) else None
-            if run is not None:
-                rows += zip(*run)
-                continue
-            for i in range(lo, hi):
-                row = _fast_parse(lines[i : i + 1], loads) if hi - lo > 1 else None
-                rows += zip(*row) if row is not None else [_decode_line(raw[i], int(line_nos[i]))]
-    except ParseError as exc:
-        fault = exc
-    return list(zip(*rows)) or [()] * 5, line_nos[: len(rows)], fault
+        objs = list(map(loads, lines))
+    except json.JSONDecodeError:  # a line orjson cannot read: the fast parse keeps no line
+        objs = [None] * len(lines)
+    parts = []  # the columns of each kept run, in line order
+    runs = [(0, len(lines))] if lines else []  # a stack: the next run is last
+    fault = None
+    while runs:
+        lo, hi = runs.pop()
+        columns = _fast_parse(lines[lo:hi], objs[lo:hi])
+        if columns is None and hi - lo > 1:
+            mid = (lo + hi) // 2
+            runs += [(mid, hi), (lo, mid)]
+            continue
+        if columns is None:
+            try:
+                columns = [[v] for v in _decode_line(raw[lo], int(line_nos[lo]))]
+            except ParseError as exc:
+                fault = exc
+                break
+        parts.append(columns)
+    columns = [list(chain.from_iterable(col)) for col in zip(*parts)] or [[]] * 5
+    return columns, line_nos[: len(columns[0])], fault
 
 
 def _arrays(columns: tuple, line_nos, index: dict[str, int]) -> tuple[np.ndarray, ...]:

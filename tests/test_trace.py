@@ -582,7 +582,7 @@ def _outcome(text: str):
 def _stdlib_outcome(monkeypatch, text: str):
     """The outcome of the loader whose fast parse declines every block and every line."""
     with monkeypatch.context() as patch:
-        patch.setattr(tracetable, "_fast_parse", lambda lines, loads: None)
+        patch.setattr(tracetable, "_fast_parse", lambda lines, objs: None)
         return _outcome(text)
 
 
@@ -617,6 +617,25 @@ def test_escaped_id_after_a_clean_block_loads_as_the_stdlib_decoder_does(monkeyp
     oracle = _stdlib_outcome(monkeypatch, text)
     assert table == oracle and table.example_ids == oracle.example_ids
     assert table.example_ids[table.example_code[BLOCK + 3]] == "café"
+
+
+def test_sparse_declined_lines_alone_reach_the_stdlib_decoder(monkeypatch) -> None:
+    lines = _planted_lines(2 * BLOCK)
+    for at in range(3, 2 * BLOCK, 97):  # string metadata, which the fast parse declines
+        lines[at] = lines[at].replace('"final"', '"model": "x", "final"')
+    text = "".join(lines)
+    decoded = []
+    real = tracetable._DECODER.decode
+    with monkeypatch.context() as patch:
+        patch.setattr(tracetable._DECODER, "decode", lambda s: decoded.append(s) or real(s))
+        table = load_traces(io.StringIO(text))
+    assert decoded == [line.strip() for line in lines if "model" in line]
+    oracle = _stdlib_outcome(monkeypatch, text)
+    assert table == oracle and table.example_ids == oracle.example_ids
+    # NaN in an unknown field: the stdlib decoder reads it and orjson cannot
+    lines[BLOCK + 5] = lines[BLOCK + 5].replace('"final"', '"note": NaN, "final"')
+    text = "".join(lines)
+    assert load_traces(io.StringIO(text)) == _stdlib_outcome(monkeypatch, text) == table
 
 
 def test_blank_lines_and_crlf_endings_inside_a_block(monkeypatch) -> None:

@@ -250,7 +250,7 @@ def test_fast_parse_equals_the_stdlib_decoder(lines: list[str]) -> None:
         patch.setattr(tracetable, "_ROW_BLOCK", 3)
         shipped = [_outcome(text) for text in texts]
         # the stdlib-only loader: the fast parse declines every block and every line
-        patch.setattr(tracetable, "_fast_parse", lambda lines, loads: None)
+        patch.setattr(tracetable, "_fast_parse", lambda lines, objs: None)
         oracle = [_outcome(text) for text in texts]
     for mine, theirs in zip(shipped, oracle):
         assert type(mine) is type(theirs)
