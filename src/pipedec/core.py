@@ -126,9 +126,6 @@ class MatchSequence:
                 raise DomainError(f"match string may only contain T/F/1/0, got {ch!r}")
         return cls(tuple(bits))
 
-    def to_string(self) -> str:
-        return "".join("T" if b else "F" for b in self.bits)
-
 
 @dataclass(frozen=True)
 class LatencyComputeReport:

@@ -33,7 +33,7 @@ def sample_match_sequence(stream: Stream, p_correct: float, ell: int) -> MatchSe
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
     u = stream.uniforms(ell - 1)
-    return MatchSequence(tuple(bool(b) for b in (u < p)))
+    return MatchSequence((u < p).tolist())
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ synthesis, I/O and estimation work on whole columns rather than on one
 object per line.  Field types are strict: a bool, float, null or
 numeric string where an integer belongs is an error, never coerced.
 ``_mistyped`` states these types for one row; the loader's fast parse
-checks the same types a column at a time over a block of lines, and a
-line it declines goes to the stdlib decoder and ``_mistyped``.
+checks the same types a column at a time over a block of lines, and the
+lines of a block it declines go to the stdlib decoder and ``_mistyped``.
 """
 
 from __future__ import annotations
@@ -229,33 +229,38 @@ _REQUIRED = ("example_id", "position", "early_topk", "final")
 
 
 def _fast_parse(lines: list[str], objs: list) -> tuple | None:
-    """The columns (example ids, positions, early_topk lists, finals, and layers with None
-    where absent) of stripped, non-blank lines as orjson read them into ``objs`` (None for
-    a line it did not read), when that provably equals ``decode_json``'s reading and every
-    row passes ``_mistyped``; else None.
+    """The columns (example ids, positions, early_topk lists, their ids flattened, finals,
+    and layers with None where absent) of stripped, non-blank lines as orjson read them
+    into ``objs``, when that provably equals ``decode_json``'s reading and every row passes
+    ``_mistyped``; else None.
 
     Where the stdlib decoder rejects a repeated key, keeps an integer
     beyond 64 bits exact and stops at the recursion limit (depth ~1000),
     orjson keeps the last value, reads the integer as a float and reads
-    any depth.  So the parse is kept only when the lines hold no backslash
-    (every ``"`` then delimits a string), their ``"`` count leaves room
-    for no string but the keys and ``example_id`` (so no key repeats at
-    any depth), each line opens at most 256 arrays and objects, and each
-    column holds exactly the types that ``_mistyped`` admits: no bool, no
-    float, no integer beyond int64, no ``"layer": null``.  Each check runs
-    once over all the lines.  orjson rejects a lone surrogate, which a
-    line that is not UTF-8 holds once read, so such a line is never kept.
+    any depth.  Each string in the lines, a repeated key too, holds two
+    ``"`` and one per escaped ``"``, so a string orjson dropped shows as
+    a surplus of ``"``.  The count is checked against the keys and ids, or
+    else against ``orjson.dumps`` of the reading when the dump holds no
+    ``\\"`` (no ``"`` inside a string).  Each line may open at most 256
+    arrays and objects, and each column must hold exactly the types that
+    ``_mistyped`` admits: no bool, no float, no integer beyond int64, no
+    ``"layer": null``.  orjson rejects a lone surrogate, which a line that
+    is not UTF-8 holds once read, so such a line is never kept.
     """
-    text = "".join(lines)
-    if "\\" in text:
+    if {*map(type, objs)} != {dict}:
         return None
-    # a row's quotes are at least its keys' and its example_id's, so a block total that
-    # equals theirs leaves no row room for more
-    if (
-        {*map(type, objs)} != {dict}
-        or text.count('"') != 2 * sum(map(len, objs)) + 2 * len(objs)
-        or max(map(len, lines)) > _SHALLOW_LINE and any(
-            line.count("[") + line.count("{") > 256 for line in lines if len(line) > _SHALLOW_LINE)
+    quotes = "".join(lines).count('"')
+    if quotes != 2 * sum(map(len, objs)) + 2 * len(objs):  # a string beyond those
+        from orjson import dumps  # imported here, as load_traces imports loads
+
+        try:
+            dumped = dumps(objs)
+        except TypeError:  # nested deeper than orjson writes
+            return None
+        if b'\\"' in dumped or dumped.count(b'"') != quotes:
+            return None
+    if max(map(len, lines)) > _SHALLOW_LINE and any(
+        line.count("[") + line.count("{") > 256 for line in lines if len(line) > _SHALLOW_LINE
     ):
         return None
     try:
@@ -270,10 +275,11 @@ def _fast_parse(lines: list[str], objs: list) -> tuple | None:
         present = [v for v in layers if v is not None]
         if sum(map(dict.__contains__, objs, repeat("layer"))) != len(present):
             return None
-    for col in (positions, finals, list(chain.from_iterable(early)), present):
+    flat = list(chain.from_iterable(early))
+    for col in (positions, finals, flat, present):
         if col and ({*map(type, col)} != {int} or min(col) < _INT64_MIN or max(col) > _INT64_MAX):
             return None
-    return ids, positions, early, finals, layers
+    return ids, positions, early, flat, finals, layers
 
 
 def _decode_line(raw: str, line_no: int) -> tuple:
@@ -310,9 +316,8 @@ def _read_block(raw: list[str], first: int, loads) -> tuple:
     ``first``, up to its first fault, and that fault, a ParseError, or None.  Blank lines
     are skipped.
 
-    orjson parses the block once, and each run of it is checked against that parse.  A
-    run the fast parse declines is halved and each half tried in turn, down to single
-    lines; a single line the fast parse declines goes to ``_decode_line``.
+    orjson parses the block once, and the block is kept whole when ``_fast_parse`` proves
+    that reading right.  Else each line goes to ``_decode_line`` in turn.
     """
     lines = list(map(str.strip, raw))
     line_nos = np.arange(first, first + len(raw))
@@ -321,34 +326,27 @@ def _read_block(raw: list[str], first: int, loads) -> tuple:
         raw = list(compress(raw, lines))
         lines = list(filter(None, lines))
     try:
-        objs = list(map(loads, lines))
-    except json.JSONDecodeError:  # a line orjson cannot read: the fast parse keeps no line
-        objs = [None] * len(lines)
-    parts = []  # the columns of each kept run, in line order
-    runs = [(0, len(lines))] if lines else []  # a stack: the next run is last
-    fault = None
-    while runs:
-        lo, hi = runs.pop()
-        columns = _fast_parse(lines[lo:hi], objs[lo:hi])
-        if columns is None and hi - lo > 1:
-            mid = (lo + hi) // 2
-            runs += [(mid, hi), (lo, mid)]
-            continue
-        if columns is None:
-            try:
-                columns = [[v] for v in _decode_line(raw[lo], int(line_nos[lo]))]
-            except ParseError as exc:
-                fault = exc
-                break
-        parts.append(columns)
-    columns = [list(chain.from_iterable(col)) for col in zip(*parts)] or [[]] * 5
-    return columns, line_nos[: len(columns[0])], fault
+        columns = _fast_parse(lines, list(map(loads, lines)))
+    except json.JSONDecodeError:  # a line orjson cannot read
+        columns = None
+    if columns is not None:
+        return columns, line_nos, None
+    rows, fault = [], None
+    for line, line_no in zip(raw, line_nos.tolist()):
+        try:
+            rows.append(_decode_line(line, line_no))
+        except ParseError as exc:
+            fault = exc
+            break
+    ids, positions, early, finals, layers = zip(*rows) if rows else [()] * 5
+    columns = ids, positions, early, list(chain.from_iterable(early)), finals, layers
+    return columns, line_nos[: len(rows)], fault
 
 
 def _arrays(columns: tuple, line_nos, index: dict[str, int]) -> tuple[np.ndarray, ...]:
-    """One block's ``_fast_parse`` columns as int64 arrays (bool for layer_absent), with the
-    topk ids flattened; ``index`` codes the example ids and grows by the block's new ones."""
-    ids, positions, early, finals, layers = columns
+    """One block's ``_fast_parse`` columns as int64 arrays (bool for layer_absent);
+    ``index`` codes the example ids and grows by the block's new ones."""
+    ids, positions, early, flat, finals, layers = columns
     for s in dict.fromkeys(ids):
         index.setdefault(s, len(index))
     absent = np.zeros(len(layers), bool)
@@ -359,7 +357,7 @@ def _arrays(columns: tuple, line_nos, index: dict[str, int]) -> tuple[np.ndarray
         np.array(list(map(index.__getitem__, ids)), np.int64),
         np.array(positions, np.int64),
         np.fromiter(map(len, early), np.int64, len(early)),
-        np.array(list(chain.from_iterable(early)), np.int64),
+        np.array(flat, np.int64),
         np.array(finals, np.int64),
         np.array(layers, np.int64),
         absent,
@@ -391,12 +389,10 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
     are ignored.  A line that is not UTF-8 raises ParseError too.  Faults
     are reported in file order, the first one only.
 
-    Lines are read ``_ROW_BLOCK`` at a time.  orjson parses a block, and
-    the block is kept whole when ``_fast_parse`` proves that reading equal
-    to the stdlib decoder's; else ``_read_block`` tries smaller runs of it,
-    down to single lines, and a line the fast parse declines goes to the
-    stdlib decoder and ``_mistyped``.  Each block becomes numpy columns
-    before the next is read.
+    Lines are read ``_ROW_BLOCK`` at a time.  orjson parses a block, which
+    is kept whole when ``_fast_parse`` proves that reading equal to the
+    stdlib decoder's; else each of its lines goes to the stdlib decoder
+    and ``_mistyped``.  Each block becomes numpy columns before the next.
     """
     if isinstance(source, (str, Path)):
         # undecodable bytes become lone surrogates, which _decode_line reports by line
@@ -405,7 +401,7 @@ def load_traces(source: str | Path | IO[str]) -> TraceTable:
     from orjson import loads  # imported here so that commands reading no trace do not pay
 
     index: dict[str, int] = {}
-    blocks = [_arrays([()] * 5, [], index)]  # empty, so that a file of no rows has columns
+    blocks = [_arrays([()] * 6, [], index)]  # empty, so that a file of no rows has columns
     source = iter(source)
     fault = None
     for first in count(1, _ROW_BLOCK):

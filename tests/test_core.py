@@ -65,7 +65,6 @@ def test_match_sequence_string_round_trip() -> None:
     seq = MatchSequence.from_string("TTFT")
     assert seq.bits == (True, True, False, True)
     assert seq.ell == 5
-    assert seq.to_string() == "TTFT"
     assert MatchSequence.from_string("1101").bits == seq.bits
     with pytest.raises(DomainError):
         MatchSequence.from_string("TTX")

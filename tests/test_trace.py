@@ -343,37 +343,6 @@ def test_deep_nesting_names_its_line() -> None:
     assert err.value.line_no == 2
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        GOOD_LINE.replace('"a"', '"\\u0061"'),
-        GOOD_LINE.replace("}", ', "final": 5}'),
-        GOOD_LINE.replace("}", ', "note": {"x": 1}}'),
-        GOOD_LINE.replace("[1, 2]", f"[1, {2**64}]"),
-    ],
-    ids=["escaped_id", "repeated_key", "key_under_unknown_object", "topk_entry_beyond_64_bits"],
-)
-def test_only_lines_orjson_may_misread_reach_the_stdlib_decoder(monkeypatch, line: str) -> None:
-    decoded = []
-
-    def spy(text):
-        decoded.append(text)
-        return real(text)
-
-    real = tracetable._DECODER.decode
-    monkeypatch.setattr(tracetable._DECODER, "decode", spy)
-    buf = io.StringIO()
-    save_traces(planted_trace(0.6837, 300, 3, seed=0, layer=20), buf)
-    save_traces(planted_trace(0.6837, 300, 3, seed=1), buf)
-    load_traces(io.StringIO(buf.getvalue()))
-    assert decoded == []
-    try:
-        load_traces(io.StringIO(GOOD_LINE + "\n" + line + "\n"))
-    except ParseError:
-        pass
-    assert decoded == [line]
-
-
 def test_record_keeps_int_values() -> None:
     # layer 0 is a tag, not an absent layer; an empty early_topk and a negative final are data
     table = load_traces(io.StringIO(
@@ -603,39 +572,67 @@ def test_table_fault_in_block_one_wins_over_parse_fault_in_block_three(monkeypat
     assert _outcome(text) == expected == _stdlib_outcome(monkeypatch, text)
 
 
-def test_escaped_id_after_a_clean_block_loads_as_the_stdlib_decoder_does(monkeypatch) -> None:
-    lines = _planted_lines(2 * BLOCK)
-    escaped = json.dumps({"example_id": "café", "position": 1, "early_topk": [7, 8],
-                          "final": 8})
-    lines[BLOCK + 3] = escaped + "\n"
-    text = "".join(lines)
-    decoded = []
-    real = tracetable._DECODER.decode
-    monkeypatch.setattr(tracetable._DECODER, "decode", lambda s: decoded.append(s) or real(s))
-    table = load_traces(io.StringIO(text))
-    assert decoded == [escaped]  # the clean block and the escaped block's other lines: orjson
-    oracle = _stdlib_outcome(monkeypatch, text)
-    assert table == oracle and table.example_ids == oracle.example_ids
-    assert table.example_ids[table.example_code[BLOCK + 3]] == "café"
-
-
-def test_sparse_declined_lines_alone_reach_the_stdlib_decoder(monkeypatch) -> None:
-    lines = _planted_lines(2 * BLOCK)
-    for at in range(3, 2 * BLOCK, 97):  # string metadata, which the fast parse declines
-        lines[at] = lines[at].replace('"final"', '"model": "x", "final"')
-    text = "".join(lines)
+def _decoded_lines(monkeypatch, text: str):
+    """The lines that reach the stdlib decoder while ``text`` loads, and the outcome."""
     decoded = []
     real = tracetable._DECODER.decode
     with monkeypatch.context() as patch:
         patch.setattr(tracetable._DECODER, "decode", lambda s: decoded.append(s) or real(s))
-        table = load_traces(io.StringIO(text))
-    assert decoded == [line.strip() for line in lines if "model" in line]
+        outcome = _outcome(text)
+    return decoded, outcome
+
+
+def test_escaped_id_after_a_clean_block_loads_as_the_stdlib_decoder_does(monkeypatch) -> None:
+    lines = _planted_lines(2 * BLOCK)
+    for at in range(BLOCK, 2 * BLOCK):  # non-ASCII ids, escaped as save_traces writes them
+        lines[at] = lines[at].replace('"example_id": "', '"example_id": "caf\\u00e9')
+    text = "".join(lines)
+    decoded, table = _decoded_lines(monkeypatch, text)
+    assert decoded == []
     oracle = _stdlib_outcome(monkeypatch, text)
     assert table == oracle and table.example_ids == oracle.example_ids
-    # NaN in an unknown field: the stdlib decoder reads it and orjson cannot
-    lines[BLOCK + 5] = lines[BLOCK + 5].replace('"final"', '"note": NaN, "final"')
+    assert table.example_ids[table.example_code[BLOCK + 3]].startswith("café")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        ('"final"', '"model": "x", "final"'),
+        ('"final"', '"meta": {"m": "x", "n": [1, {"o": "p"}]}, "final"'),
+    ],
+    ids=["flat_metadata", "nested_metadata"],
+)
+def test_metadata_never_reaches_the_stdlib_decoder(monkeypatch, change) -> None:
+    # rows with and without a layer, and metadata on one line in 97
+    lines = [line.replace(', "layer": 20', "") if i % 2 else line
+             for i, line in enumerate(_planted_lines(2 * BLOCK))]
+    for at in range(3, 2 * BLOCK, 97):
+        lines[at] = lines[at].replace(*change)
     text = "".join(lines)
-    assert load_traces(io.StringIO(text)) == _stdlib_outcome(monkeypatch, text) == table
+    decoded, table = _decoded_lines(monkeypatch, text)
+    assert decoded == []
+    oracle = _stdlib_outcome(monkeypatch, text)
+    assert table == oracle and table.example_ids == oracle.example_ids
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        GOOD_LINE.replace("}", ', "final": 5}'),
+        GOOD_LINE.replace('"a"', '"a\\"b"'),
+        GOOD_LINE.replace("[1, 2]", f"[1, {2**64}]"),
+        GOOD_LINE.replace("}", ', "note": NaN}'),  # the stdlib decoder reads it; orjson cannot
+    ],
+    ids=["repeated_key", "escaped_quote_in_id", "topk_entry_beyond_64_bits",
+         "nan_in_unknown_field"],
+)
+def test_block_orjson_may_misread_goes_whole_to_stdlib(monkeypatch, line) -> None:
+    lines = _planted_lines(3 * BLOCK)
+    lines[2 * BLOCK - 1] = line + "\n"  # the last line of the second block
+    text = "".join(lines)
+    decoded, outcome = _decoded_lines(monkeypatch, text)
+    assert decoded == [s.strip() for s in lines[BLOCK : 2 * BLOCK]]
+    assert outcome == _stdlib_outcome(monkeypatch, text)
 
 
 def test_blank_lines_and_crlf_endings_inside_a_block(monkeypatch) -> None:

@@ -242,6 +242,17 @@ def _outcome(text: str):
     f'{{"example_id": "a", "position": 1, "early_topk": [1], "final": {2**63}}}',
     f'{{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "layer": {2**63}}}',
 ])
+@example(lines=[  # lines whose surplus of quotes the dump of orjson's reading must explain
+    # two escaped quotes stand in for the quotes of the repeated key that orjson dropped
+    '{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "n": 1, '
+    '"n": "\\u0022\\u0022"}',
+    '{"example_id": "a\\"b", "position": 1, "early_topk": [1], "final": 1}',
+    '{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, '
+    '"meta": {"m": "x", "m": "y"}}',
+    # 256 brackets, as many as a line may open, but nested deeper than orjson writes
+    '{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "m": "s", "x": '
+    + "[" * 254 + "]" * 254 + "}",
+])
 def test_fast_parse_equals_the_stdlib_decoder(lines: list[str]) -> None:
     # the whole file, for the order of faults, and each line alone, which no earlier fault hides
     texts = ["\n".join(lines) + "\n"] + [line + "\n" for line in lines]
