@@ -231,8 +231,8 @@ _REQUIRED = ("example_id", "position", "early_topk", "final")
 def _fast_parse(lines: list[str], objs: list) -> tuple | None:
     """The columns (example ids, positions, early_topk lists, their ids flattened, finals,
     and layers with None where absent) of stripped, non-blank lines as orjson read them
-    into ``objs``, when that provably equals ``decode_json``'s reading and every row passes
-    ``_mistyped``; else None.
+    into ``objs`` (all None when it could not), when that provably equals ``decode_json``'s
+    reading and every row passes ``_mistyped``; else None.
 
     Where the stdlib decoder rejects a repeated key, keeps an integer
     beyond 64 bits exact and stops at the recursion limit (depth ~1000),
@@ -326,9 +326,10 @@ def _read_block(raw: list[str], first: int, loads) -> tuple:
         raw = list(compress(raw, lines))
         lines = list(filter(None, lines))
     try:
-        columns = _fast_parse(lines, list(map(loads, lines)))
-    except json.JSONDecodeError:  # a line orjson cannot read
-        columns = None
+        objs = list(map(loads, lines))
+    except json.JSONDecodeError:  # a line orjson cannot read: the fast parse keeps no line
+        objs = [None] * len(lines)
+    columns = _fast_parse(lines, objs)
     if columns is not None:
         return columns, line_nos, None
     rows, fault = [], None
