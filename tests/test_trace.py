@@ -594,6 +594,18 @@ def test_escaped_id_after_a_clean_block_loads_as_the_stdlib_decoder_does(monkeyp
     assert table.example_ids[table.example_code[BLOCK + 3]].startswith("café")
 
 
+@pytest.mark.parametrize("line", [GOOD_LINE.replace('"a"', '"\\u0061"')], ids=["escaped_id"])
+def test_only_lines_orjson_may_misread_reach_the_stdlib_decoder(monkeypatch, line) -> None:
+    # orjson reads an escaped id as the stdlib decoder does, so its line passes the block gate
+    decoded, _ = _decoded_lines(monkeypatch, "".join(_planted_lines(BLOCK + 300)))
+    assert decoded == []
+    text = GOOD_LINE + "\n" + line + "\n"
+    decoded, table = _decoded_lines(monkeypatch, text)
+    assert decoded == []
+    oracle = _stdlib_outcome(monkeypatch, text)
+    assert table == oracle and table.example_ids == oracle.example_ids == ("a",)
+
+
 @pytest.mark.parametrize(
     "change",
     [
