@@ -39,6 +39,8 @@ SHAPES = {
     '"model": "x" on every line': _every(1, '"final"', '"model": "x", "final"'),
     "a fault on the last line": lambda lines: lines[:-1] + ["{}\n"],
     'an escaped " in the id on 1 line in 200': _every(200, ID, ID + '\\"'),
+    '"dir": "C:\\\\tmp\\\\" on 1 line in 200':
+        _every(200, '"final"', '"dir": "C:\\\\tmp\\\\", "final"'),
 }
 
 

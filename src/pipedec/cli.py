@@ -34,10 +34,6 @@ def _int_list(text: str) -> list[int]:
     return _nonempty([int(x) for x in text.split(",") if x.strip()])
 
 
-def _positive_int_list(text: str) -> list[int]:
-    return _nonempty([_positive_int(x) for x in text.split(",") if x.strip()])
-
-
 def _float_list(text: str) -> list[float]:
     return _nonempty([float(x) for x in text.split(",") if x.strip()])
 
@@ -135,19 +131,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = analytic.tradeoff_sweep(args.d, args.dbar, args.l, args.k_list, p_values)
     _write_or_print(analytic.sweep_to_csv(rows), args.out)
     if args.svg is not None:
-        if args.svg_y == "token":
-            y_of = lambda r: r.compute_per_token
-            y_label = "compute per token"
-        else:
-            y_of = lambda r: r.compute_per_time_unit
-            y_label = "compute per time unit"
         series = []
         for k in args.k_list:
-            pts = [(r.latency_per_token_norm, y_of(r)) for r in rows if r.k == k]
+            pts = [(r.latency_per_token_norm, r.compute_per_time_unit) for r in rows if r.k == k]
             series.append((f"k={k}", pts))
         args.svg.write_text(
-            svgout.line_plot(series, "per-token latency (normalized)", y_label,
-                             title="latency vs compute trade-off"),
+            svgout.line_plot(series, "per-token latency (normalized)", "compute per time unit",
+                             "latency vs compute trade-off"),
             encoding="utf-8",
         )
     return 0
@@ -201,10 +191,10 @@ def cmd_matchrate(args: argparse.Namespace) -> int:
 VERIFY_CHUNK = 50  # instances per task of verify's process pool
 
 
-def _first_defect(lo: int, hi: int, seed: int, flags: dict) -> tuple[int, str] | None:
+def _first_defect(lo: int, hi: int, seed: int) -> tuple[int, str] | None:
     """The first (index, defect) among verify's instances lo..hi-1, or None if all are exact."""
     for index in range(lo, hi):
-        inst = mockmodel.random_instance(index, seed, **flags)
+        inst = mockmodel.random_instance(index, seed)
         defect = mockmodel.exactness_counterexample(inst)
         if defect is not None:
             return index, defect
@@ -212,8 +202,6 @@ def _first_defect(lo: int, hi: int, seed: int, flags: dict) -> tuple[int, str] |
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    flags = {"vocab_sizes": args.vocab_sizes, "depths": args.depths,
-             "k_values": args.k_values, "max_ell": args.max_ell}
     lows = range(0, args.instances, VERIFY_CHUNK)
     highs = [min(lo + VERIFY_CHUNK, args.instances) for lo in lows]
     workers = min(len(os.sched_getaffinity(0)), len(lows))
@@ -228,8 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         mapper = pool.map
     try:
         # results come in chunk order, so the first defect seen has the lowest index
-        for found in mapper(_first_defect, lows, highs, itertools.repeat(args.seed),
-                            itertools.repeat(flags)):
+        for found in mapper(_first_defect, lows, highs, itertools.repeat(args.seed)):
             if found is not None:
                 index, defect = found
                 sys.stdout.write(f"FAIL at instance {index} (seed {args.seed}): {defect}\n")
@@ -269,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="grid points from --p-from to --p-to (default 9)")
     p_sweep.add_argument("--out", type=Path, default=None, help="CSV path (stdout if omitted)")
     p_sweep.add_argument("--svg", type=Path, default=None, help="optional SVG plot path")
-    p_sweep.add_argument("--svg-y", choices=("time-unit", "token"), default="time-unit",
-                         dest="svg_y", help="y axis of the SVG plot")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = subs.add_parser("simulate", help="Monte Carlo estimate of the expectations")
@@ -302,12 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="pipelined-vs-sequential exactness suite")
     p_verify.add_argument("--instances", type=_positive_int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--max-ell", type=_positive_int, default=32, dest="max_ell")
-    p_verify.add_argument("--vocab-sizes", type=_positive_int_list, default=[4, 16, 64],
-                          dest="vocab_sizes")
-    p_verify.add_argument("--depths", type=_positive_int_list, default=[8, 40], dest="depths")
-    p_verify.add_argument("--k-values", type=_positive_int_list, default=[1, 3, 5],
-                          dest="k_values")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

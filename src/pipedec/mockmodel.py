@@ -293,24 +293,17 @@ class PpdInstance:
     k: int
 
 
-def random_instance(
-    index: int,
-    seed: int,
-    vocab_sizes: Sequence[int] = (4, 16, 64),
-    depths: Sequence[int] = (8, 40),
-    k_values: Sequence[int] = (1, 3, 5),
-    max_ell: int = 32,
-) -> PpdInstance:
-    """Deterministically draw instance ``index`` of the exactness suite."""
+def random_instance(index: int, seed: int) -> PpdInstance:
+    """Deterministically draw instance ``index`` of the exactness suite: vocab 4, 16 or 64,
+    depth 8 or 40, d_bar from ceil(depth/2) to depth, k 1, 3 or 5 (at most the vocab), and
+    1 to 32 tokens.
+    """
     rr = random.Random(stream_key(seed, index))
-    vocab = rr.choice(list(vocab_sizes))
-    depth = rr.choice(list(depths))
+    vocab = rr.choice([4, 16, 64])
+    depth = rr.choice([8, 40])
     d_bar = rr.randint((depth + 1) // 2, depth)
-    usable_k = [k for k in k_values if k <= vocab]
-    if not usable_k:
-        raise DomainError(f"no k in {k_values} fits vocab_size {vocab}")
-    k = rr.choice(usable_k)
-    ell = rr.randint(1, max_ell)
+    k = rr.choice([k for k in (1, 3, 5) if k <= vocab])
+    ell = rr.randint(1, 32)
     model = MockModel(
         vocab_size=vocab,
         depth=depth,

@@ -213,7 +213,6 @@ def svg_gantt(timeline: ScheduleTimeline) -> str:
         (events.t_end - events.t_start) * PX_PER_UNIT,
         ROW_HEIGHT - 4,
         np.where(events.discarded, "#cc6677", np.where(pid == 0, "#4477aa", "#66ccee")),
-        stroke="#ffffff",
     )
     axis_y = top + (k + 1) * ROW_HEIGHT + 6
     body.append(svgout.line(left, axis_y, left + span * PX_PER_UNIT, axis_y))

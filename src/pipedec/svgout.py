@@ -15,21 +15,21 @@ def document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def rect(x: float, y: float, w: float, h: float, fill: str, stroke: str = "none") -> str:
+def rect(x: float, y: float, w: float, h: float, fill: str) -> str:
     return (
         f'<rect x="{x:.1f}" y="{y:.1f}" width="{w:.1f}" height="{h:.1f}" '
-        f'fill="{fill}" stroke="{stroke}"/>'
+        f'fill="{fill}" stroke="none"/>'
     )
 
 
-def int_rects(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, h: int, fills: np.ndarray,
-              stroke: str = "none") -> list[str]:
-    """``rect`` for each row of integer coordinate columns, one fill per row.
+def int_rects(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, h: int,
+              fills: np.ndarray) -> list[str]:
+    """A white-edged rect for each row of integer coordinate columns, one fill per row.
 
     For an int, f"{x}.0" is the text of f"{x:.1f}" and much faster to build.
     """
     return [
-        f'<rect x="{x}.0" y="{y}.0" width="{w}.0" height="{h}.0" fill="{fill}" stroke="{stroke}"/>'
+        f'<rect x="{x}.0" y="{y}.0" width="{w}.0" height="{h}.0" fill="{fill}" stroke="#ffffff"/>'
         for x, y, w, fill in zip(xs.tolist(), ys.tolist(), ws.tolist(), fills.tolist())
     ]
 
@@ -38,10 +38,10 @@ def line(x1: float, y1: float, x2: float, y2: float, stroke: str = "#333333") ->
     return f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" stroke="{stroke}"/>'
 
 
-def text(x: float, y: float, content: str, size: int = 11, fill: str = "#333333") -> str:
+def text(x: float, y: float, content: str, size: int = 11) -> str:
     return (
         f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
-        f'font-family="sans-serif" fill="{fill}">{content}</text>'
+        f'font-family="sans-serif" fill="#333333">{content}</text>'
     )
 
 
@@ -51,14 +51,10 @@ def polyline(points: list[tuple[float, float]], stroke: str) -> str:
 
 
 def line_plot(
-    series: list[tuple[str, list[tuple[float, float]]]],
-    x_label: str,
-    y_label: str,
-    title: str = "",
-    width: int = 560,
-    height: int = 420,
+    series: list[tuple[str, list[tuple[float, float]]]], x_label: str, y_label: str, title: str
 ) -> str:
-    """Axes, ticks, one polyline per series, and a small legend."""
+    """A 560x420 plot: title, axes, ticks, one polyline per series, and a small legend."""
+    width, height = 560, 420
     margin_l, margin_r, margin_t, margin_b = 64, 16, 28, 48
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -78,11 +74,11 @@ def line_plot(
     def sy(y: float) -> float:
         return margin_t + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    body = []
-    if title:
-        body.append(text(margin_l, 18, title, size=13))
-    body.append(line(margin_l, margin_t + plot_h, margin_l + plot_w, margin_t + plot_h))
-    body.append(line(margin_l, margin_t, margin_l, margin_t + plot_h))
+    body = [
+        text(margin_l, 18, title, size=13),
+        line(margin_l, margin_t + plot_h, margin_l + plot_w, margin_t + plot_h),
+        line(margin_l, margin_t, margin_l, margin_t + plot_h),
+    ]
     n_ticks = 5
     for i in range(n_ticks + 1):
         xv = x_lo + (x_hi - x_lo) * i / n_ticks

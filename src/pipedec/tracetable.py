@@ -241,7 +241,7 @@ def _fast_parse(lines: list[str], objs: list) -> tuple | None:
     ``"`` and one per escaped ``"``, so a string orjson dropped shows as
     a surplus of ``"``.  The count is checked against the keys and ids, or
     else against ``orjson.dumps`` of the reading when the dump holds no
-    ``\\"`` (no ``"`` inside a string).  Each line may open at most 256
+    escaped ``"`` (no ``"`` inside a string).  Each line may open at most 256
     arrays and objects, and each column must hold exactly the types that
     ``_mistyped`` admits: no bool, no float, no integer beyond int64, no
     ``"layer": null``.  orjson rejects a lone surrogate, which a line that
@@ -257,7 +257,10 @@ def _fast_parse(lines: list[str], objs: list) -> tuple | None:
             dumped = dumps(objs)
         except TypeError:  # nested deeper than orjson writes
             return None
-        if b'\\"' in dumped or dumped.count(b'"') != quotes:
+        if dumped.count(b'"') != quotes:
+            return None
+        # each backslash of the dump starts an escape: with the \\ pairs gone, \" is a quote
+        if b'\\"' in dumped and b'\\"' in dumped.replace(b"\\\\", b""):
             return None
     if max(map(len, lines)) > _SHALLOW_LINE and any(
         line.count("[") + line.count("{") > 256 for line in lines if len(line) > _SHALLOW_LINE

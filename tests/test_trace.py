@@ -611,8 +611,10 @@ def test_only_lines_orjson_may_misread_reach_the_stdlib_decoder(monkeypatch, lin
     [
         ('"final"', '"model": "x", "final"'),
         ('"final"', '"meta": {"m": "x", "n": [1, {"o": "p"}]}, "final"'),
+        # the dump's \\" ends the string: an escaped backslash, then the closing quote
+        ('"final"', '"dir": "C:\\\\tmp\\\\", "final"'),
     ],
-    ids=["flat_metadata", "nested_metadata"],
+    ids=["flat_metadata", "nested_metadata", "metadata_ending_in_a_backslash"],
 )
 def test_metadata_never_reaches_the_stdlib_decoder(monkeypatch, change) -> None:
     # rows with and without a layer, and metadata on one line in 97

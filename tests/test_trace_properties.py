@@ -253,6 +253,10 @@ def _outcome(text: str):
     '{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "m": "s", "x": '
     + "[" * 254 + "]" * 254 + "}",
 ])
+@example(lines=[  # metadata ending in a backslash: the dump's \\" is no escaped quote
+    '{"example_id": "a", "position": 1, "early_topk": [1], "final": 1, "dir": "C:\\\\tmp\\\\"}',
+    '{"example_id": "a\\\\", "position": 1, "early_topk": [1], "final": 1, "m": "\\\\\\""}',
+])
 def test_fast_parse_equals_the_stdlib_decoder(lines: list[str]) -> None:
     # the whole file, for the order of faults, and each line alone, which no earlier fault hides
     texts = ["\n".join(lines) + "\n"] + [line + "\n" for line in lines]
