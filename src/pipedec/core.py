@@ -65,6 +65,9 @@ class DecodingConfig:
             raise DomainError(f"ell must be >= 1, got {self.ell}")
         if self.k < 0:
             raise DomainError(f"k must be >= 0, got {self.k}")
+        if self.k == 0 and self.p_correct:
+            raise DomainError(f"k = 0 has no early candidate to match, so p_correct must be 0, "
+                              f"got {self.p_correct}")
         # the exact latency/compute accounting needs the early layer at or past mid-depth
         if 2 * self.d_bar < self.d:
             raise DomainError(

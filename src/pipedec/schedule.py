@@ -64,6 +64,8 @@ def build_schedule(config: DecodingConfig, matches: MatchSequence) -> ScheduleTi
 
     window = d - d_bar
     bits = np.fromiter(matches.bits, dtype=bool, count=ell - 1)
+    if k == 0 and bits.any():
+        raise DomainError("k = 0 has no early candidate to match, so every match bit must be F")
     resumed, matched_next = np.insert(bits, 0, False), np.append(bits, False)
     # a fresh run computes layers 1..d_bar; a resume starts from the
     # handed-off layer-(d-d_bar) state, so 2*d_bar-d layers (maybe none)
@@ -155,20 +157,18 @@ def identity_report_to_json(report: IdentityReport) -> str:
     return json.dumps({**asdict(report), "ok": report.ok}, indent=2) + "\n"
 
 
-def _columns(events: np.recarray, fields: str) -> zip:
-    """The named fields, row by row, as Python scalars."""
-    return zip(*(events[name].tolist() for name in fields.split(",")))
-
-
 def events_to_csv(timeline: ScheduleTimeline) -> str:
-    lines = [EVENTS_CSV_HEADER]
-    rows = _columns(timeline.events, EVENTS_CSV_HEADER)
-    for pid, token, layer_start, layer_end, t_start, t_end, discarded in rows:
-        lines.append(
-            f"{pid},{token},{layer_start},{layer_end},"
-            f"{t_start},{t_end},{'true' if discarded else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
+    """The header, then a line per event, from one template per (process, layers, flag)."""
+    events, d = timeline.events, timeline.config.d
+    shape = ((events.process_id * (d + 1) + events.layer_start) * (d + 1)
+             + events.layer_end) * 2 + events.discarded
+
+    def template(i: int) -> str:
+        pid, _, layer_start, layer_end, _, _, discarded = events[i].tolist()
+        return f"{pid},%d,{layer_start},{layer_end},%d,%d,{'true' if discarded else 'false'}\n"
+
+    rows = svgout.fill_rows(shape, template, [events.token_index, events.t_start, events.t_end])
+    return EVENTS_CSV_HEADER + "\n" + rows
 
 
 def text_gantt(timeline: ScheduleTimeline) -> str:
@@ -176,16 +176,17 @@ def text_gantt(timeline: ScheduleTimeline) -> str:
 
     '#' = busy, 'x' = busy on later-discarded work, '.' = idle.
     """
-    k = timeline.config.k
-    span = timeline.makespan
-    rows = [bytearray(b"." * span) for _ in range(k + 1)]
-    bars = _columns(timeline.events, "process_id,t_start,t_end,discarded")
-    for pid, t_start, t_end, discarded in bars:
-        rows[pid][t_start:t_end] = (b"x" if discarded else b"#") * (t_end - t_start)
+    k, span, events = timeline.config.k, timeline.makespan, timeline.events
+    # the flat (process, t) index of every time unit of every event, in event order
+    units = events.t_end - events.t_start
+    shift = events.process_id * span + events.t_start - (np.cumsum(units) - units)
+    grid = np.full((k + 1) * span, ord("."), dtype=np.uint8)
+    grid[np.repeat(shift, units) + np.arange(units.sum())] = np.repeat(
+        np.where(events.discarded, ord("x"), ord("#")), units)
     ruler = ("|" + " " * 9) * (span // 10 + 1)
     lines = [f"{'t':>4} {ruler[:span]}"]
     for pid in range(k + 1):
-        lines.append(f"P{pid:<3} {rows[pid].decode()}")
+        lines.append(f"P{pid:<3} {grid[pid * span:(pid + 1) * span].tobytes().decode()}")
     lines.append(f"makespan {span}")
     return "\n".join(lines) + "\n"
 
@@ -207,13 +208,14 @@ def svg_gantt(timeline: ScheduleTimeline) -> str:
         body.append(svgout.text(6, y + ROW_HEIGHT - 6, f"P{pid}", size=11))
     events = timeline.events
     pid = events.process_id
-    body += svgout.int_rects(
+    body.append(svgout.int_rects(
         left + events.t_start * PX_PER_UNIT,
         top + pid * ROW_HEIGHT + 2,
         (events.t_end - events.t_start) * PX_PER_UNIT,
         ROW_HEIGHT - 4,
-        np.where(events.discarded, "#cc6677", np.where(pid == 0, "#4477aa", "#66ccee")),
-    )
+        np.where(events.discarded, 2, pid > 0),
+        ("#4477aa", "#66ccee", "#cc6677"),  # main, speculative, discarded
+    ))
     axis_y = top + (k + 1) * ROW_HEIGHT + 6
     body.append(svgout.line(left, axis_y, left + span * PX_PER_UNIT, axis_y))
     step = max(1, span // 10)

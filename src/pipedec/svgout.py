@@ -22,23 +22,30 @@ def rect(x: float, y: float, w: float, h: float, fill: str) -> str:
     )
 
 
-def int_rects(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, h: int,
-              fills: np.ndarray) -> list[str]:
-    """A white-edged rect for each row of integer coordinate columns, one fill per row.
-
-    For an int, f"{x}.0" is the text of f"{x:.1f}" and much faster to build.
+def fill_rows(key: np.ndarray, template, columns: list[np.ndarray]) -> str:
+    """All rows, in order, as one ``%`` fill of the integer ``columns``: row i's format is
+    ``template(j)``, built once per distinct integer ``key`` from j, the first row of key[i].
     """
-    return [
-        f'<rect x="{x}.0" y="{y}.0" width="{w}.0" height="{h}.0" fill="{fill}" stroke="#ffffff"/>'
-        for x, y, w, fill in zip(xs.tolist(), ys.tolist(), ws.tolist(), fills.tolist())
-    ]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    templates = [template(i) for i in first.tolist()]
+    cells = np.column_stack(columns).ravel().tolist()
+    return "".join(map(templates.__getitem__, inverse.tolist())) % tuple(cells)
+
+
+def int_rects(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, h: int,
+              fills: np.ndarray, palette: tuple[str, ...]) -> str:
+    """White-edged rects, a line each; "%d.0" of an int x is f"{x:.1f}", and x is all that
+    varies within a (y, w, fill) shape."""
+    key = (ys * (int(ws.max(initial=0)) + 1) + ws) * len(palette) + fills
+    return fill_rows(key, lambda i: f'<rect x="%d.0" y="{ys[i]}.0" width="{ws[i]}.0" '
+                     f'height="{h}.0" fill="{palette[fills[i]]}" stroke="#ffffff"/>\n', [xs])[:-1]
 
 
 def line(x1: float, y1: float, x2: float, y2: float, stroke: str = "#333333") -> str:
     return f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" stroke="{stroke}"/>'
 
 
-def text(x: float, y: float, content: str, size: int = 11) -> str:
+def text(x: float, y: float, content: str, size: int) -> str:
     return (
         f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
         f'font-family="sans-serif" fill="#333333">{content}</text>'

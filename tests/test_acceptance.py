@@ -80,7 +80,9 @@ def test_criterion_3_schedule_formula_identity() -> None:
         k = rr.randint(0, 8)
         ell = rr.randint(1, 256)
         cfg = DecodingConfig(d, d_bar, k, ell)
-        matches = MatchSequence(tuple(rr.random() < rr.random() for _ in range(ell - 1)))
+        # k = 0 has no early candidate to match, so its bits are all F
+        matches = MatchSequence(tuple(rr.random() < rr.random() and k > 0
+                                      for _ in range(ell - 1)))
         report = verify_identities(build_schedule(cfg, matches))
         latency, compute = closed_form_totals(d, d_bar, k, ell, matches.n_runs)
         if not report.ok:

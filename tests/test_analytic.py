@@ -31,18 +31,18 @@ def _point(d: int, d_bar: int, k: int, p: float) -> tuple[float, float, float]:
 @settings(max_examples=500)
 @given(
     d_bar=st.integers(1, 10_000),
-    k=st.integers(0, 64),
+    k=st.integers(1, 64),
     p=st.floats(0.0, 1.0, allow_nan=False),
 )
-@example(d_bar=1, k=0, p=0.0)
-@example(d_bar=20, k=0, p=1.0)
+@example(d_bar=1, k=0, p=0.0)  # k = 0 admits p = 0 only
+@example(d_bar=20, k=0, p=0.0)
 @example(d_bar=7, k=3, p=1.0)
 def test_tradeoff_point_equals_halfdepth_forms_bit_for_bit(d_bar: int, k: int, p: float) -> None:
     assert _point(2 * d_bar, d_bar, k, p) == _halfdepth_forms(2 * d_bar, k, p)
 
 
 def test_per_token_latency_halfdepth_values() -> None:
-    assert _point(2, 1, 0, 0.7415)[0] == pytest.approx(0.62925, abs=1e-12)
+    assert _point(2, 1, 1, 0.7415)[0] == pytest.approx(0.62925, abs=1e-12)
     assert _point(40, 20, 3, 0.0)[0] == 1.0
     assert _point(40, 20, 3, 1.0)[0] == 0.5
 
@@ -60,7 +60,7 @@ def test_avg_compute_per_time_unit_values() -> None:
 
 def test_avg_compute_per_token_values() -> None:
     assert _point(40, 20, 3, 0.6837)[2] == pytest.approx(2.15815, abs=1e-9)
-    assert _point(40, 20, 0, 1.0)[2] == 0.5
+    assert _point(40, 20, 1, 1.0)[2] == 1.0
     assert _point(40, 20, 0, 0.0)[2] == 1.0
     assert _point(40, 30, 3, 0.5)[2] == 1.625
 
@@ -69,7 +69,7 @@ def test_product_identity_of_halfdepth_forms() -> None:
     # latency per token x compute per time unit = compute per token, at every d_bar
     for d_bar in (20, 25, 30, 39, 40):
         for p in (0.0, 0.05, 0.2163, 0.5, 0.6837, 0.9, 1.0):
-            for k in (0, 1, 3, 5, 8):
+            for k in (0, 1, 3, 5, 8) if p == 0 else (1, 3, 5, 8):
                 latency, per_unit, per_token = _point(40, d_bar, k, p)
                 assert latency * per_unit == pytest.approx(per_token, rel=1e-12)
 
@@ -101,7 +101,8 @@ def test_expected_latency_requires_exact_regime_and_p() -> None:
 
 
 def test_expected_total_compute_values() -> None:
-    assert expected_total_compute(DecodingConfig(40, 20, 0, 128, 0.5)) == 3850
+    assert expected_total_compute(DecodingConfig(40, 20, 0, 128, 0.0)) == 5120
+    assert expected_total_compute(DecodingConfig(40, 20, 1, 128, 0.5)) == 3850 + 20 * 128
     assert expected_total_compute(DecodingConfig(40, 20, 3, 128, 0.6837)) == pytest.approx(
         11063.402, abs=1e-9
     )
@@ -123,7 +124,7 @@ def test_tradeoff_point_is_the_long_sequence_limit() -> None:
     # r = d/(d-d_bar) >= 2 each gap is at most p*max(1, k)/ell
     for d in (8, 40):
         for d_bar in sorted({d // 2, d // 2 + 1, (3 * d) // 4, d - 1, d}):
-            for k in (0, 3):
+            for k in (1, 3):
                 for p in (0.1, 0.5, 0.9, 1.0):
                     point = _point(d, d_bar, k, p)
                     for ell in (10_000, 100_000, 1_000_000):

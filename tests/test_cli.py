@@ -498,6 +498,7 @@ def test_verify_defaults_to_thousand_instances() -> None:
 
 _SHALLOW = "exact accounting requires d_bar >= d/2, got d_bar=10, d=40"
 _CFG = ["--d", "40", "--dbar", "20", "--k", "3"]
+_K0_P = "k = 0 has no early candidate to match, so p_correct must be 0, got "
 
 
 # argv, the one stderr line that names the fault; the config-rule messages
@@ -539,6 +540,17 @@ MALFORMED = [
      "error: p_correct must lie in [0, 1], got 1.5"),
     (["schedule", *_CFG, "--l", "3", "--matches", "TTX"],
      "error: match string may only contain T/F/1/0, got 'X'"),
+    # k = 0 has no early candidate, so a match rate or a T bit there is a free lunch
+    (["analyze", "--d", "40", "--dbar", "20", "--k", "0", "--l", "100", "--p", "0.9"],
+     "error: " + _K0_P + "0.9"),
+    (["simulate", "--d", "40", "--dbar", "20", "--k", "0", "--l", "8", "--p", "0.5"],
+     "error: " + _K0_P + "0.5"),
+    (["schedule", "--d", "4", "--dbar", "2", "--k", "0", "--l", "4", "--p", "0.5"],
+     "error: " + _K0_P + "0.5"),
+    (["sweep", "--d", "40", "--dbar", "20", "--l", "8", "--k-list", "1,0", "--p-list", "0,0.5"],
+     "error: " + _K0_P + "0.5"),
+    (["schedule", "--d", "4", "--dbar", "2", "--k", "0", "--l", "4", "--matches", "TTT"],
+     "error: k = 0 has no early candidate to match, so every match bit must be F"),
 ]
 
 
@@ -554,3 +566,16 @@ def test_malformed_flags_are_one_line_usage_errors(argv: list[str], message: str
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert [line for line in captured.err.splitlines() if "error:" in line] == [message]
+
+
+def test_k_zero_runs_with_no_match(capsys) -> None:
+    # k = 0 is plain sequential decoding: p = 0, or match bits that are all F
+    assert main(["analyze", "--d", "40", "--dbar", "20", "--k", "0", "--l", "100",
+                 "--p", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["per_token_latency"] == 40.0
+    assert main(["schedule", "--d", "4", "--dbar", "2", "--k", "0", "--l", "4",
+                 "--matches", "FFF"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["ok"], report["makespan"]) == (True, 16)
+    assert main(["sweep", "--d", "40", "--dbar", "20", "--l", "8", "--k-list", "0,1",
+                 "--p-list", "0"]) == 0

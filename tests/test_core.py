@@ -115,6 +115,7 @@ def test_config_exists_exactly_when_its_rules_hold(d, d_bar, k, ell, p, retyped)
         all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in values.values())
         and 1 <= d_bar <= d and 2 * d_bar >= d and ell >= 1 and k >= 0
         and (p is None or type(p) not in (bool, str) and 0 <= p <= 1)
+        and (k != 0 or not p)  # k = 0 has no early candidate to match
     )
     try:
         cfg = DecodingConfig(d, d_bar, k, ell, p)
@@ -126,8 +127,9 @@ def test_config_exists_exactly_when_its_rules_hold(d, d_bar, k, ell, p, retyped)
     assert {type(cfg.d), type(cfg.d_bar), type(cfg.k), type(cfg.ell)} == {int}
     assert p is None or type(cfg.p_correct) is float
     # every config that exists is one the consumers accept
-    timeline = build_schedule(cfg, MatchSequence((True,) * (cfg.ell - 1)))
-    assert timeline.makespan == closed_form_totals(d, d_bar, k, ell, 1)[0]
+    matches = MatchSequence((cfg.k > 0,) * (cfg.ell - 1))
+    timeline = build_schedule(cfg, matches)
+    assert timeline.makespan == closed_form_totals(d, d_bar, k, ell, matches.n_runs)[0]
     if p is not None:
         assert expected_latency(cfg) == d * ell - (d - d_bar) * (ell - 1) * p
         summary = monte_carlo(cfg, 1, 0)

@@ -104,7 +104,7 @@ def test_makespan_equals_run_cost_fixture() -> None:
 
 def test_k_zero_occupancy_is_flat() -> None:
     cfg = DecodingConfig(d=16, d_bar=10, k=0, ell=6)
-    timeline = build_schedule(cfg, MatchSequence.from_string("TFTFT"))
+    timeline = build_schedule(cfg, MatchSequence.from_string("FFFFF"))
     occ = occupancy_profile(timeline)
     assert np.all(occ == 1)
 
@@ -129,7 +129,8 @@ def _random_case(rr: random.Random) -> tuple[DecodingConfig, MatchSequence]:
     d_bar = rr.randint((d + 1) // 2, d)
     k = rr.randint(0, 8)
     ell = rr.randint(1, 256)
-    bits = tuple(rr.random() < rr.random() for _ in range(ell - 1))
+    # k = 0 has no early candidate to match, so its bits are all F
+    bits = tuple(rr.random() < rr.random() and k > 0 for _ in range(ell - 1))
     return DecodingConfig(d, d_bar, k, ell), MatchSequence(bits)
 
 
@@ -235,13 +236,16 @@ def test_schedule_prices_realized_mock_decodes() -> None:
 def schedule_cases(draw) -> tuple[DecodingConfig, MatchSequence]:
     d = draw(st.integers(1, 40))
     ell = draw(st.integers(1, 64))
-    bits = draw(st.lists(st.booleans(), min_size=ell - 1, max_size=ell - 1))
-    cfg = DecodingConfig(d, draw(st.integers((d + 1) // 2, d)), draw(st.integers(0, 6)), ell)
+    k = draw(st.integers(0, 6))
+    # k = 0 has no early candidate to match, so its bits are all F
+    bit = st.booleans() if k else st.just(False)
+    bits = draw(st.lists(bit, min_size=ell - 1, max_size=ell - 1))
+    cfg = DecodingConfig(d, draw(st.integers((d + 1) // 2, d)), k, ell)
     return cfg, MatchSequence(tuple(bits))
 
 
 @example(case=(DecodingConfig(12, 12, 3, 9), MatchSequence.from_string("TFTTFFTT")))  # d_bar = d
-@example(case=(DecodingConfig(40, 20, 0, 6), MatchSequence.from_string("TTFTF")))    # k = 0
+@example(case=(DecodingConfig(40, 20, 0, 6), MatchSequence.from_string("FFFFF")))    # k = 0
 @example(case=(DecodingConfig(9, 5, 4, 1), MatchSequence(())))                      # ell = 1
 @example(case=(DecodingConfig(1, 1, 2, 5), MatchSequence.from_string("FFFF")))      # depth 1
 @example(case=(DecodingConfig(7, 4, 2, 8), MatchSequence.from_string("TTTTTTT")))   # one run
@@ -283,7 +287,7 @@ def _reference_events(cfg: DecodingConfig, matches: MatchSequence) -> tuple[list
 
 @example(case=(DecodingConfig(12, 12, 3, 9), MatchSequence.from_string("TFTTFFTT")))  # d_bar = d
 @example(case=(DecodingConfig(16, 8, 3, 6), MatchSequence.from_string("TTFTT")))     # pre = 0
-@example(case=(DecodingConfig(40, 30, 0, 6), MatchSequence.from_string("TTFTF")))    # k = 0
+@example(case=(DecodingConfig(40, 30, 0, 6), MatchSequence.from_string("FFFFF")))    # k = 0
 @example(case=(DecodingConfig(9, 5, 4, 1), MatchSequence(())))                      # ell = 1
 @example(case=(DecodingConfig(7, 4, 2, 8), MatchSequence.from_string("TTTTTTT")))   # all T
 @example(case=(DecodingConfig(10, 6, 2, 6), MatchSequence.from_string("FFFFF")))    # all F
@@ -296,6 +300,53 @@ def test_event_log_equals_the_replay_loop_row_for_row(case) -> None:
     assert timeline.events.tolist() == rows
     assert timeline.makespan == makespan == rows[-1][5]
     assert type(timeline.makespan) is int
+
+
+def _reference_csv(timeline) -> str:
+    """Slow reference: the documented CSV, one formatted line per event."""
+    lines = [EVENTS_CSV_HEADER]
+    for pid, token, layer_start, layer_end, t_start, t_end, discarded in timeline.events.tolist():
+        lines.append(f"{pid},{token},{layer_start},{layer_end},{t_start},{t_end},"
+                     f"{'true' if discarded else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_text(timeline) -> str:
+    """Slow reference: each event paints its process row, '#' or 'x' per time unit."""
+    span = timeline.makespan
+    rows = [bytearray(b"." * span) for _ in range(timeline.config.k + 1)]
+    for pid, _, _, _, t_start, t_end, discarded in timeline.events.tolist():
+        rows[pid][t_start:t_end] = (b"x" if discarded else b"#") * (t_end - t_start)
+    ruler = ("|" + " " * 9) * (span // 10 + 1)
+    return "\n".join([f"{'t':>4} {ruler[:span]}", *(f"P{pid:<3} {row.decode()}"
+                      for pid, row in enumerate(rows)), f"makespan {span}"]) + "\n"
+
+
+def _reference_rects(timeline) -> list[str]:
+    """Slow reference: svg_gantt's rect per event, 8 px per time unit and 20 px per process."""
+    rects = []
+    for pid, _, _, _, t_start, t_end, discarded in timeline.events.tolist():
+        fill = "#cc6677" if discarded else "#4477aa" if pid == 0 else "#66ccee"
+        rects.append(f'<rect x="{46 + 8 * t_start:.1f}" y="{30 + 20 * pid:.1f}" '
+                     f'width="{8 * (t_end - t_start):.1f}" height="16.0" fill="{fill}" '
+                     f'stroke="#ffffff"/>')
+    return rects
+
+
+@example(case=(DecodingConfig(12, 12, 3, 9), MatchSequence.from_string("TFTTFFTT")))  # d_bar = d
+@example(case=(DecodingConfig(16, 8, 3, 6), MatchSequence.from_string("TTFTT")))     # pre = 0
+@example(case=(DecodingConfig(40, 30, 0, 6), MatchSequence.from_string("FFFFF")))    # k = 0
+@example(case=(DecodingConfig(9, 5, 4, 1), MatchSequence(())))                      # ell = 1
+@given(case=schedule_cases())
+def test_renderers_equal_the_per_event_references(case) -> None:
+    timeline = build_schedule(*case)
+    assert events_to_csv(timeline) == _reference_csv(timeline)
+    assert text_gantt(timeline) == _reference_text(timeline)
+    # the title and the k + 1 process labels come first, then one rect per event
+    lines = svg_gantt(timeline).split("\n")
+    first = case[0].k + 3
+    assert lines[first:first + len(timeline.events)] == _reference_rects(timeline)
+    assert sum(line.startswith("<rect") for line in lines) == len(timeline.events)
 
 
 # sha256 of identity_report_to_json, text_gantt, events_to_csv and svg_gantt,
