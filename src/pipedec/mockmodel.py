@@ -27,7 +27,8 @@ import numpy as np
 from .core import DecodingConfig, DomainError, MatchSequence, check_int, check_p
 from .core import closed_form_totals
 from .rng import (
-    golden_keys, mix64, mix64_chain, mix64_lanes, mix64_np, pack_lanes, stream_key, unpack_lanes,
+    GOLDEN, LANE_BITS, golden_keys, mix64, mix64_chain, mix64_finalize, mix64_lanes, mix64_np,
+    pack_lanes, stream_key,
 )
 from .tracetable import TraceTable
 
@@ -108,28 +109,41 @@ def _layer_keys(model: MockModel) -> tuple[int, ...]:
 
 
 def _scorer(model: MockModel):
-    """Both classifiers' scoring: n hidden values to an (n, V) uint64 score matrix, one pass."""
+    """Both classifiers' scoring: one or two hidden values to that many rows of uint64 scores.
+
+    A call mixes its rows in place in a (2, V) buffer made once per scorer (per decode) and
+    returns views of them, valid until the next call.
+    """
     ids = np.arange(model.vocab_size, dtype=np.uint64)
     base = mix64((model.seed & _MASK64) ^ _SCORE_TAG)
-    return lambda *hidden_values: mix64_np(
-        np.array([(h ^ base) & _MASK64 for h in hidden_values], np.uint64)[:, None] ^ ids
-    )
+    buf, tmp = np.empty((2, 2, model.vocab_size), np.uint64)  # the score rows and their scratch
+    rows, views = tuple(buf), ((buf[:1], tmp[:1]), (buf, tmp))  # views[n - 1]: n rows
+
+    def scores(*hidden_values: int) -> np.ndarray:
+        for row, h in zip(rows, hidden_values):
+            np.bitwise_xor(ids, h ^ base, out=row)
+        z, t = views[len(hidden_values) - 1]
+        return mix64_finalize(np.add(z, GOLDEN, out=z), t)
+
+    return scores
 
 
 def _top_k(scores: np.ndarray, k: int) -> list[int]:
     """Ids of the k highest scores, best first, equal to a stable descending sort's first k.
 
-    The scores of one state never tie: id -> base ^ id is injective, and
-    mix64 is a bijection on 64-bit words (an add, xor-shifts and odd
-    multiplies mod 2**64), so distinct ids get distinct scores.  The k
-    winners of a partition, sorted, are therefore exactly the first k of
-    the full stable sort, and its rule "smaller id first on ties" never
-    has to apply.
+    k rounds of ``argmax``, each zeroing its winner in ``scores`` (overwritten).  Scores of one
+    state never tie (id -> base ^ id is injective and mix64 a bijection on 64-bit words), so
+    while two or more ids are unpicked at most one scores 0, and the best of them, above every
+    zeroed winner, is the ``argmax`` alone.  Only the last id of a k = V ranking can score 0
+    and tie with the zeroed winners; it is the one id never picked, so the sum of ids gives it.
     """
-    # ~scores is monotone decreasing on uint64: ascending in it is descending in score
-    neg = ~scores
-    winners = np.argpartition(neg, k - 1)[:k]
-    return winners[np.argsort(neg[winners], kind="stable")].tolist()
+    winners = []
+    for _ in range(min(k, len(scores) - 1)):
+        winners.append(int(scores.argmax()))
+        scores[winners[-1]] = 0
+    if k == len(scores):
+        winners.append(k * (k - 1) // 2 - sum(winners))
+    return winners
 
 
 def early_topk(model: MockModel, hidden_at_dbar: HiddenState, k: int) -> list[int]:
@@ -144,11 +158,17 @@ def final_token(model: MockModel, hidden_at_d: HiddenState) -> int:
     return int(_scorer(model)(hidden_at_d.value)[0].argmax())
 
 
-def _bias_rule(model: MockModel):
-    """Predicate on positions: does the early ranking copy the final one there?"""
-    key = mix64((model.seed & _MASK64) ^ _BIAS_TAG)
+def _bias_bits(model: MockModel, first: int, n: int) -> list[bool]:
+    """Does the early ranking copy the final one at positions first .. first+n-1?
+
+    Position p does when ``mix64(key ^ p) < int(bias * 2**64)``, so every p does at bias 1.0,
+    where that bound, 2**64, does not fit in uint64.
+    """
     threshold = int(model.bias * 2.0 ** 64)
-    return lambda position: mix64(key ^ position) < threshold
+    if threshold > _MASK64:
+        return [True] * n
+    key = mix64((model.seed & _MASK64) ^ _BIAS_TAG)
+    return (mix64_np(np.arange(first, first + n, dtype=np.uint64) ^ key) < threshold).tolist()
 
 
 def decode_sequential(model: MockModel, prompt: Sequence[int], ell: int) -> DecodeResult:
@@ -199,10 +219,11 @@ def decode_ppd(
         raise DomainError(f"k must lie in [1, vocab_size], got k={k}, vocab={model.vocab_size}")
 
     window = d - d_bar
-    keys, scores, bias_hit = _layer_keys(model), _scorer(model), _bias_rule(model)
+    keys, scores = _layer_keys(model), _scorer(model)
     # each window layer's key in all k lanes, and the mask of the lanes' 64-bit words
     spread, lane_mask = pack_lanes([1] * k), pack_lanes([_MASK64] * k)
     rows = [key * spread for key in keys[:window]]
+    golden_row = [GOLDEN * spread]  # with addend 0, one mix64 per lane: extend_digest
     digest = prefix_digest(model, prompt)
     tokens: list[int] = []
     match_bits: list[bool] = []
@@ -210,7 +231,7 @@ def decode_ppd(
     main_layers = 0
     spec_layers = 0
     handoff: int | None = None
-    for position in range(len(prompt) + 1, len(prompt) + ell + 1):
+    for biased in _bias_bits(model, len(prompt) + 1, ell):
         if handoff is None:
             h_dbar = mix64_chain(keys[:d_bar], digest, digest)
             main_layers += d
@@ -218,7 +239,7 @@ def decode_ppd(
             h_dbar = mix64_chain(keys[window:d_bar], handoff, digest)
             main_layers += d_bar
         h_d = mix64_chain(keys[d_bar:], h_dbar, digest)
-        if bias_hit(position):
+        if biased:
             # the early ranking reads h_d, and its best id is the final token
             cands = _top_k(scores(h_d)[0], k)
             final = cands[0]
@@ -227,10 +248,9 @@ def decode_ppd(
             cands = _top_k(early_scores, k)
             final = int(final_scores.argmax())
 
-        # layer-window states of the next position, one per candidate token
-        sub_digests = [extend_digest(model, digest, c) for c in cands]
-        packed = pack_lanes(sub_digests)
-        sub_states = mix64_lanes(rows, packed, packed, lane_mask)
+        # the candidates' digests, then their layer-window states of the next position
+        sub_digests = mix64_lanes(golden_row, pack_lanes([digest ^ c for c in cands]), 0, lane_mask)
+        sub_states = mix64_lanes(rows, sub_digests, sub_digests, lane_mask)
         spec_layers += k * window
 
         tokens.append(final)
@@ -240,8 +260,8 @@ def decode_ppd(
         if model.eos_enabled and final == EOS_TOKEN:
             break
         if matched:
-            hit = cands.index(final)
-            handoff, digest = unpack_lanes(sub_states, k)[hit], sub_digests[hit]
+            shift = LANE_BITS * cands.index(final)
+            handoff, digest = (sub_states >> shift) & _MASK64, (sub_digests >> shift) & _MASK64
         else:
             handoff, digest = None, extend_digest(model, digest, final)
 

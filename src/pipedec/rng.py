@@ -39,8 +39,8 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _finalize(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """mix64 after its ``+GOLDEN`` step, in place on ``z``; ``t`` is a scratch array like it."""
+def mix64_finalize(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """mix64 after its ``+GOLDEN`` step, in place on uint64 ``z``; ``t`` is scratch like ``z``."""
     for shift, mult in ((_S30, _M1), (_S27, _M2)):
         np.right_shift(z, shift, out=t)
         z ^= t
@@ -69,20 +69,15 @@ def mix64_chain(keys: Sequence[int], value: int, addend: int) -> int:
     return value
 
 
-_LANE_BITS = 128  # a lane's 64-bit word and the 64 zero bits that take its carries
+LANE_BITS = 128  # a lane's 64-bit word and the 64 zero bits that take its carries
 
 
 def pack_lanes(words: Iterable[int]) -> int:
     """64-bit words as lanes of one integer: word i in bits [128*i, 128*i + 64)."""
     packed = 0
     for i, word in enumerate(words):
-        packed |= word << (_LANE_BITS * i)
+        packed |= word << (LANE_BITS * i)
     return packed
-
-
-def unpack_lanes(packed: int, n: int) -> list[int]:
-    """The n lane words of ``packed``, inverse to ``pack_lanes`` on words below 2**64."""
-    return [(packed >> (_LANE_BITS * i)) & _MASK64 for i in range(n)]
 
 
 def mix64_lanes(rows: Sequence[int], values: int, addends: int, mask: int) -> int:
@@ -107,7 +102,7 @@ def mix64_lanes(rows: Sequence[int], values: int, addends: int, mask: int) -> in
 def mix64_np(z: np.ndarray) -> np.ndarray:
     """Vectorized ``mix64`` into a fresh uint64 array (``z`` is never written); bit-identical."""
     z = z + _GOLDEN_U
-    return _finalize(z, np.empty_like(z))
+    return mix64_finalize(z, np.empty_like(z))
 
 
 def stream_key(seed: int, stream: int = 0) -> int:
@@ -165,7 +160,7 @@ def counter_hits(keys: np.ndarray, n: int, p: float) -> np.ndarray:
         hi = min(lo + rows, m)
         z, t = z_buf[: hi - lo], t_buf[: hi - lo]
         np.add(keys[lo:hi, None], ctr, out=z)
-        np.right_shift(_finalize(z, t), _U(11), out=z)
+        np.right_shift(mix64_finalize(z, t), _U(11), out=z)
         hits[lo:hi] = np.count_nonzero(z < threshold, axis=1)
     return hits
 

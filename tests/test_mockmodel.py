@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 from pipedec.core import DomainError, MatchSequence
 from pipedec.mockmodel import (
     _BIAS_TAG,
+    _PREFIX_TAG,
     _SCORE_TAG,
+    _bias_bits,
     _layer_keys,
+    _scorer,
     EOS_TOKEN,
     DecodeResult,
     HiddenState,
@@ -32,7 +35,7 @@ from pipedec.mockmodel import (
     prefix_digest,
     random_instance,
 )
-from pipedec.rng import mix64, mix64_chain
+from pipedec.rng import GOLDEN, mix64, mix64_chain
 from pipedec.trace import match_rate
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_rollout.json"
@@ -118,7 +121,9 @@ def test_final_token_matches_top1() -> None:
     model = MockModel(vocab_size=64, depth=8, seed=9)
     for i in range(200):
         h = HiddenState(mix64(i))
-        assert final_token(model, h) == early_topk(model, h, 1)[0]
+        assert final_token(model, h) == early_topk(model, h, 1)[0] == (
+            int(reference_scores(model, h).argmax())
+        )
 
 
 def test_decode_sequential_single_token() -> None:
@@ -326,11 +331,18 @@ def reference_topk(model: MockModel, h: HiddenState, k: int) -> list[int]:
     return [int(i) for i in np.argsort(~reference_scores(model, h), kind="stable")[:k]]
 
 
+def reference_bias_hit(model: MockModel, position: int) -> bool:
+    """Does the early ranking copy the final one at this position?  One scalar mix64."""
+    draw = mix64(mix64((model.seed & _MASK64) ^ _BIAS_TAG) ^ position)
+    return model.bias > 0.0 and draw < int(model.bias * 2.0**64)
+
+
 def reference_ppd(model: MockModel, prompt, ell: int, d_bar: int, k: int) -> DecodeResult:
     """decode_ppd restated from the public ops, recomputing everything per token.
 
     Each position's digest is prefix_digest of its whole context, every
-    layer is one forward_layer, and candidates come from a stable argsort.
+    layer is one forward_layer, candidates come from a stable argsort and
+    the final token from the argmax of reference_scores.
     """
     d, window = model.depth, model.depth - d_bar
 
@@ -338,10 +350,6 @@ def reference_ppd(model: MockModel, prompt, ell: int, d_bar: int, k: int) -> Dec
         for layer in range(lo, hi + 1):
             h = forward_layer(model, h, layer, digest)
         return h
-
-    def bias_hit(position: int) -> bool:
-        draw = mix64(mix64((model.seed & _MASK64) ^ _BIAS_TAG) ^ position)
-        return model.bias > 0.0 and draw < int(model.bias * 2.0**64)
 
     context, tokens, bits, lists = list(prompt), [], [], []
     main = spec = 0
@@ -353,13 +361,14 @@ def reference_ppd(model: MockModel, prompt, ell: int, d_bar: int, k: int) -> Dec
         else:
             h_dbar, main = run(handoff, digest, window + 1, d_bar), main + d_bar
         h_d = run(h_dbar, digest, d_bar + 1, d)
-        cands = reference_topk(model, h_d if bias_hit(len(context) + 1) else h_dbar, k)
+        early = h_d if reference_bias_hit(model, len(context) + 1) else h_dbar
+        cands = reference_topk(model, early, k)
         subs = {}
         for c in cands:
             sub_digest = prefix_digest(model, context + [c])
             subs[c] = run(HiddenState(sub_digest), sub_digest, 1, window)
         spec += k * window
-        final = final_token(model, h_d)
+        final = int(reference_scores(model, h_d).argmax())
         tokens.append(final)
         context.append(final)
         bits.append(final in cands)
@@ -379,7 +388,7 @@ def ppd_cases(draw):
         depth=depth,
         seed=draw(st.integers(0, _MASK64)),
         eos_enabled=draw(st.booleans()),
-        bias=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        bias=draw(st.sampled_from((0.0, 0.5, 1 - 2.0**-53, 1.0))),
     )
     prompt = tuple(draw(st.lists(st.integers(0, vocab - 1), max_size=4)))
     d_bar = draw(st.integers((depth + 1) // 2, depth))
@@ -452,3 +461,85 @@ def test_early_topk_equals_stable_argsort(vocab: int, seed: int, hidden: int) ->
     order = np.argsort(~reference_scores(model, h), kind="stable")
     for k in range(1, vocab + 1):
         assert early_topk(model, h, k) == order[:k].tolist()
+
+
+def unmix64(y: int) -> int:
+    """The inverse of mix64: undo each xor-shift, multiply by the odd multipliers' inverses
+    mod 2**64, and subtract GOLDEN."""
+
+    def unshift(x: int, s: int) -> int:
+        z = x
+        for _ in range(64 // s):  # each round fixes s more of z's top bits
+            z = x ^ (z >> s)
+        return z
+
+    z = unshift(y, 31)
+    z = unshift((z * pow(0x94D049BB133111EB, -1, 2**64)) & _MASK64, 27)
+    z = unshift((z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & _MASK64, 30)
+    return (z - GOLDEN) & _MASK64
+
+
+@example(word=0)
+@example(word=_MASK64)
+@given(word=st.integers(0, _MASK64))
+def test_unmix64_inverts_mix64(word: int) -> None:
+    assert unmix64(mix64(word)) == word and mix64(unmix64(word)) == word
+
+
+def planted_zero_score(vocab: int, zero_id: int):
+    """A depth-1 model and a one-token prompt whose first hidden state scores ``zero_id`` at 0.
+
+    The score of id i is mix64((h ^ base) ^ i), so h = unmix64(0) ^ base ^ zero_id.  At
+    depth 1, h = mix64(2 * digest + key) with key = unmix64 of layer 1's output on 0,
+    which fixes the prompt digest when unmix64(h) - key is even (about every second seed);
+    unmix64 then gives the prompt token that folds to that digest.
+    """
+    for seed in range(64):
+        model = MockModel(vocab, 1, seed)
+        base = mix64(seed ^ _SCORE_TAG)
+        h = unmix64(0) ^ base ^ zero_id
+        key = unmix64(forward_layer(model, HiddenState(0), 1, 0).value)
+        twice = (unmix64(h) - key) & _MASK64
+        if twice % 2:
+            continue
+        digest = twice // 2
+        token = unmix64(digest) ^ mix64(seed ^ _PREFIX_TAG)
+        assert prefix_digest(model, (token,)) == digest
+        assert forward_layer(model, HiddenState(digest), 1, digest).value == h
+        return model, (token,), HiddenState(h)
+    raise AssertionError("no seed below 64 plants the state")
+
+
+@pytest.mark.parametrize("zero_id", ["last", "first"])
+def test_zero_score_is_ranked_last_at_k_equal_vocab(zero_id) -> None:
+    # an id that scores exactly 0 ties with the winners the argmax top-k has zeroed
+    vocab = 16
+    model, prompt, h = planted_zero_score(vocab, vocab - 1 if zero_id == "last" else 0)
+    scores = reference_scores(model, h)
+    assert sorted(scores.tolist())[0] == 0
+    order = np.argsort(~scores, kind="stable").tolist()
+    assert order[-1] == (vocab - 1 if zero_id == "last" else 0)
+    assert early_topk(model, h, vocab) == order
+    ppd = decode_ppd(model, prompt, 6, 1, vocab)
+    assert ppd.early_candidates[0] == tuple(order)
+    assert ppd == reference_ppd(model, prompt, 6, 1, vocab)
+
+
+def test_scorer_rows_are_rescored_on_every_call() -> None:
+    # one scorer reuses its buffer: rows of two, then one, then the first value again
+    model = MockModel(vocab_size=300, depth=4, seed=17)
+    score = _scorer(model)
+    a, b, c = (HiddenState(mix64(i)) for i in range(3))
+    for values in ((a, b), (c,), (a,)):
+        rows = score(*(h.value for h in values))
+        assert rows.shape == (len(values), 300)
+        for row, h in zip(rows, values):
+            assert np.array_equal(row, reference_scores(model, h))
+
+
+@pytest.mark.parametrize("bias", [0.0, 0.5, 1 - 2.0**-53, 1.0])
+def test_bias_bits_equal_the_scalar_rule(bias) -> None:
+    model = MockModel(vocab_size=16, depth=4, seed=2024, bias=bias)
+    for first, n in ((1, 1), (1, 300), (7, 40), (2**40, 5)):
+        bits = _bias_bits(model, first, n)
+        assert bits == [reference_bias_hit(model, p) for p in range(first, first + n)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pipedec.rng import (
     _BLOCK_WORDS,
     GOLDEN,
+    LANE_BITS,
     Stream,
     counter_hits,
     counter_uniforms,
@@ -18,7 +19,6 @@ from pipedec.rng import (
     pack_lanes,
     stream_key,
     stream_keys,
-    unpack_lanes,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -93,6 +93,11 @@ def test_counter_hits_equals_float_reference(n: int) -> None:
 
 # a lane word: the extremes, where carries are largest or absent, or any 64-bit word
 _WORD = st.one_of(st.sampled_from((0, _MASK64)), st.integers(0, _MASK64))
+
+
+def unpack_lanes(packed: int, n: int) -> list[int]:
+    """The n lane words of ``packed``, inverse to ``pack_lanes`` on words below 2**64."""
+    return [(packed >> (LANE_BITS * i)) & _MASK64 for i in range(n)]
 
 
 @st.composite
