@@ -492,7 +492,8 @@ def planted_zero_score(vocab: int, zero_id: int):
     The score of id i is mix64((h ^ base) ^ i), so h = unmix64(0) ^ base ^ zero_id.  At
     depth 1, h = mix64(2 * digest + key) with key = unmix64 of layer 1's output on 0,
     which fixes the prompt digest when unmix64(h) - key is even (about every second seed);
-    unmix64 then gives the prompt token that folds to that digest.
+    unmix64 then gives the prompt token that folds to that digest: a 64-bit word outside
+    the vocabulary, which the decoders fold like any id.
     """
     for seed in range(64):
         model = MockModel(vocab, 1, seed)
