@@ -15,7 +15,8 @@ to pair, so a drift in machine speed does not favour one side.
 
 One record is appended to the ``--out`` JSON file, which holds a list of
 records; records already in the file are kept as they are.  A record
-holds the machine, both revisions, the seeds and, per workload and
+holds the machine, both revisions, each tree's ``src/**/*.py`` line
+count (``src_lines``), the seeds and, per workload and
 end-to-end metric, the per-pair values, each side's median and
 quartiles, the count of pairs the working tree won and a verdict against
 the metric's ``BENCHMARK.json`` bound (see ``summarize``).  The exit code
@@ -156,6 +157,11 @@ def _workload_record(bench: dict, runs: dict[str, list[dict]]) -> dict:
     return {"ops": ops, "metrics": metrics, **workload_verdict(metrics, ops["base"], ops["head"])}
 
 
+def src_lines(tree: Path) -> int:
+    """Line count of the Python files under ``tree``'s ``src/``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+
+
 def _seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     try:
@@ -197,6 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         _git(root, "worktree", "add", "--detach", str(base_tree), base_commit)
         try:
             trees = {"base": base_tree, "head": root}
+            record["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
             for workload in (w["name"] for w in bench["workloads"]):
                 runs: dict[str, list[dict]] = {"base": [], "head": []}
                 for seed, first in zip(args.seeds, record["first"]):

@@ -16,7 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import analytic, mockmodel, schedule, stochastic, svgout, trace
-from .core import DecodingConfig, DomainError, LatencyComputeReport, MatchSequence
+from .core import DecodingConfig, DomainError, LatencyComputeReport, MatchSequence, check_int
 from .rng import Stream
 from .tracetable import decode_json
 
@@ -118,9 +118,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                   "give either --p-list or --p-from/--p-to/--p-steps")
         p_values = args.p_list
     elif args.p_from is not None and args.p_to is not None:
-        steps = 9 if args.p_steps is None else args.p_steps
-        if steps < 1:
-            raise DomainError("--p-steps must be >= 1")
+        steps = check_int("--p-steps", 9 if args.p_steps is None else args.p_steps, 1)
         if steps == 1:
             p_values = [args.p_from]
         else:

@@ -25,11 +25,15 @@ def check_p(p: float, name: str = "p_correct") -> float:
     return value
 
 
-def check_int(name: str, value: int) -> int:
-    """Return ``value`` as an int, rejecting non-integers; ``name`` labels the error."""
-    # a bool is an Integral, and a float such as 40.0 is not
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def check_int(name: str, value: int, least: int | None) -> int:
+    """Return ``value`` as an int, rejecting non-integers and ones below ``least`` (if not None)."""
+    # a bool is an Integral, and a float such as 40.0 is not; a plain int skips the ABC check,
+    # which takes ~10 us when the caches are cold (after a decode)
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 
@@ -51,20 +55,12 @@ class DecodingConfig:
     p_correct: float | None = None   # per-token match probability; None for trace-driven runs
 
     def __post_init__(self) -> None:
-        for name in ("d", "d_bar", "k", "ell"):
-            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        for name, least in (("d", 1), ("d_bar", 1), ("k", 0), ("ell", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least))
         if self.p_correct is not None:
             object.__setattr__(self, "p_correct", check_p(self.p_correct))
-        if self.d < 1:
-            raise DomainError(f"d must be >= 1, got {self.d}")
-        if self.d_bar < 1:
-            raise DomainError(f"d_bar must be >= 1, got {self.d_bar}")
         if self.d_bar > self.d:
             raise DomainError(f"d_bar must be <= d, got d_bar={self.d_bar} > d={self.d}")
-        if self.ell < 1:
-            raise DomainError(f"ell must be >= 1, got {self.ell}")
-        if self.k < 0:
-            raise DomainError(f"k must be >= 0, got {self.k}")
         if self.k == 0 and self.p_correct:
             raise DomainError(f"k = 0 has no early candidate to match, so p_correct must be 0, "
                               f"got {self.p_correct}")
@@ -97,7 +93,7 @@ def closed_form_totals(d: int, d_bar: int, k: int, ell: int, n_runs: int | np.nd
 class MatchSequence:
     """Per-position early-prediction outcomes for an ell-token generation.
 
-    ``bits`` has exactly ell-1 entries; bits[t] is True iff the early
+    ``bits`` has exactly ell-1 bools; bits[t] is True iff the early
     top-k candidates for (1-based) token t+1 contained its final token,
     in which case token t+2 starts from the handed-off partial state.
     """
@@ -105,11 +101,15 @@ class MatchSequence:
     bits: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
-
-    @property
-    def ell(self) -> int:
-        return len(self.bits) + 1
+        bits = []
+        for at, bit in enumerate(self.bits):
+            # identity tests first: an isinstance per bit makes a 4096-bit build ~4x slower
+            if bit is not True and bit is not False:
+                if not isinstance(bit, np.bool_):
+                    raise DomainError(f"bits[{at}] must be a bool, got {bit!r}")
+                bit = bool(bit)
+            bits.append(bit)
+        object.__setattr__(self, "bits", tuple(bits))
 
     @property
     def n_runs(self) -> int:
@@ -150,8 +150,7 @@ class LatencyComputeReport:
     def from_totals(
         cls, total_latency: float, total_compute: float, ell: int
     ) -> "LatencyComputeReport":
-        if ell < 1:
-            raise DomainError(f"ell must be >= 1, got {ell}")
+        ell = check_int("ell", ell, 1)
         return cls(
             total_latency=total_latency,
             total_compute=total_compute,

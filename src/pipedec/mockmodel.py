@@ -51,13 +51,9 @@ class MockModel:
     bias: float = 0.0        # fraction of positions whose early ranking copies the final one
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "depth", "seed"):
-            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        for name, least in (("vocab_size", 2), ("depth", 1), ("seed", None)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least))
         object.__setattr__(self, "bias", check_p(self.bias, "bias"))
-        if self.vocab_size < 2:
-            raise DomainError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.depth < 1:
-            raise DomainError(f"depth must be >= 1, got {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ def decode_sequential(model: MockModel, prompt: Sequence[int], ell: int) -> Deco
 
     The prompt is folded once; each token then extends the digest.
     """
-    DecodingConfig(model.depth, model.depth, 0, ell)  # the ell rule
+    ell = check_int("ell", ell, 1)
     keys, scores = _layer_keys(model), _scorer(model)
     digest = prefix_digest(model, prompt)
     tokens: list[int] = []

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import DecodingConfig, DomainError, MatchSequence, check_p, closed_form_totals, require_p
+from .core import DecodingConfig, MatchSequence, check_int, check_p, closed_form_totals, require_p
 from .rng import Stream, counter_hits, stream_keys
 
 
@@ -30,9 +30,7 @@ def sample_match_sequence(stream: Stream, p_correct: float, ell: int) -> MatchSe
     Identical stream and arguments give identical bits.
     """
     p = check_p(p_correct)
-    if ell < 1:
-        raise DomainError(f"ell must be >= 1, got {ell}")
-    u = stream.uniforms(ell - 1)
+    u = stream.uniforms(check_int("ell", ell, 1) - 1)
     return MatchSequence((u < p).tolist())
 
 
@@ -68,8 +66,7 @@ def monte_carlo(config: DecodingConfig, trials: int, seed: int) -> MonteCarloSum
     a given seed.
     """
     p = require_p(config)
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = check_int("trials", trials, 1)
     ell = config.ell
     # N = 1 + the misses among the ell-1 draws
     n_runs = ell - counter_hits(stream_keys(seed, trials), ell - 1, p)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import expected_latency, expected_total_compute, tradeoff_point
-from .core import DecodingConfig, DomainError, LatencyComputeReport, check_p
+from .core import DecodingConfig, DomainError, LatencyComputeReport, check_int, check_p
 from .rng import Stream
 from .tracetable import (  # noqa: F401  (re-exported: the trace API is one import)
     ParseError,
@@ -64,25 +64,23 @@ def _hits(table: TraceTable, k: int) -> np.ndarray:
     """Per-row bool: final is among the first k early candidates."""
     if not len(table):
         raise DomainError("cannot estimate a match rate from zero records")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    check_int("k", k, 1)
     shortest = int(table.topk_len.min())
     if k > shortest:
         raise DomainError(f"k={k} exceeds the shortest early_topk length {shortest}")
     return (table.topk[:, :k] == table.final[:, None]).any(axis=1)
 
 
+def _report(k: int, hits: np.ndarray, buckets: tuple[BucketRow, ...] | None) -> MatchRateReport:
+    """The report of the row hits ``hits`` (see ``_hits``)."""
+    matches, total = int(hits.sum()), len(hits)
+    return MatchRateReport(k, total, matches, matches / total, wilson_interval(matches, total),
+                           buckets)
+
+
 def match_rate(table: TraceTable, k: int) -> MatchRateReport:
     """Fraction of positions whose final token is among the first k candidates."""
-    matches = int(_hits(table, k).sum())
-    total = len(table)
-    return MatchRateReport(
-        k=k,
-        total_positions=total,
-        matches=matches,
-        p_hat=matches / total,
-        ci95=wilson_interval(matches, total),
-    )
+    return _report(k, _hits(table, k), None)
 
 
 def match_rate_by_bucket(table: TraceTable, k: int, bucket_width: int) -> MatchRateReport:
@@ -90,13 +88,12 @@ def match_rate_by_bucket(table: TraceTable, k: int, bucket_width: int) -> MatchR
 
     Only buckets that hold a position get a row, in ascending order.
     """
-    if bucket_width < 1:
-        raise DomainError(f"bucket_width must be >= 1, got {bucket_width}")
-    overall = match_rate(table, k)
+    bucket_width = check_int("bucket_width", bucket_width, 1)
+    row_hits = _hits(table, k)
     # bincount over the occupied buckets only: positions may be sparse and large
     buckets, slot = np.unique((table.position - 1) // bucket_width, return_inverse=True)
     counts = np.bincount(slot).tolist()
-    hits = np.bincount(slot[_hits(table, k)], minlength=len(buckets)).tolist()
+    hits = np.bincount(slot[row_hits], minlength=len(buckets)).tolist()
     rows = tuple(
         BucketRow(
             lo=b * bucket_width + 1,
@@ -107,7 +104,7 @@ def match_rate_by_bucket(table: TraceTable, k: int, bucket_width: int) -> MatchR
         )
         for b, count, hit in zip(buckets.tolist(), counts, hits)
     )
-    return replace(overall, buckets=rows)
+    return _report(k, row_hits, rows)
 
 
 @dataclass(frozen=True)
@@ -197,8 +194,7 @@ def planted_trace(
     p_correct = check_p(p_correct)
     if k < 1 or k + 1 > vocab:
         raise DomainError(f"need 1 <= k < vocab, got k={k}, vocab={vocab}")
-    if positions_per_example < 1:
-        raise DomainError(f"positions_per_example must be >= 1, got {positions_per_example}")
+    check_int("positions_per_example", positions_per_example, 1)
     bits = Stream.from_seed(seed, 0).uniforms(n_positions) < p_correct
     content = Stream.from_seed(seed, 1).uniforms(3 * n_positions)
     bases = (content[0::3] * (vocab - k - 1)).astype(np.int64)

@@ -92,3 +92,12 @@ def test_machine_records_the_usable_cpus(monkeypatch) -> None:
     machine = ab._machine()
     assert machine["cpus_usable"] == 1
     assert machine["nproc"] == os.cpu_count()
+
+
+def test_src_lines_counts_the_python_sources(tmp_path) -> None:
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text("\n\nz = 3\n", encoding="utf-8")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n", encoding="utf-8")
+    (tmp_path / "top.py").write_text("outside = src\n", encoding="utf-8")
+    assert ab.src_lines(tmp_path) == 5

