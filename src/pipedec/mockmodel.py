@@ -56,6 +56,7 @@ class MockModel:
         object.__setattr__(self, "bias", check_p(self.bias, "bias"))
 
 
+# no caller in the package; perfbench/tracing.py builds one before it makes any probe
 @dataclass(frozen=True)
 class HiddenState:
     """Abstract activation digest for one position at one layer."""
@@ -73,10 +74,6 @@ class DecodeResult:
     early_candidates: tuple[tuple[int, ...], ...] = ()
 
 
-def _layer_base(model: MockModel) -> int:
-    return mix64((model.seed & _MASK64) ^ _LAYER_TAG)
-
-
 def prefix_digest(model: MockModel, tokens: Sequence[int]) -> int:
     """Digest of a token prefix; the layer-0 state of the next position."""
     acc = mix64((model.seed & _MASK64) ^ _PREFIX_TAG)
@@ -90,17 +87,12 @@ def extend_digest(model: MockModel, digest: int, token: int) -> int:
     return mix64(digest ^ (token & _MASK64))
 
 
-def forward_layer(
-    model: MockModel, prev_hidden: HiddenState, layer: int, token_context_digest: int
-) -> HiddenState:
-    """Advance one layer: mix the previous state with the layer key and context digest."""
-    key = mix64(_layer_base(model) ^ layer)
-    return HiddenState(mix64((prev_hidden.value + key + token_context_digest) & _MASK64))
-
-
 def _layer_keys(model: MockModel) -> tuple[int, ...]:
-    """Layer j's key at index j-1, for ``rng.mix64_chain``: layers lo..hi are ``keys[lo-1:hi]``."""
-    base = _layer_base(model)
+    """Layer j's key at index j-1, for ``rng.mix64_chain``: layers lo..hi are ``keys[lo-1:hi]``.
+
+    Layer j maps state h under context digest c to ``mix64((h + mix64(base ^ j) + c) mod 2**64)``.
+    """
+    base = mix64((model.seed & _MASK64) ^ _LAYER_TAG)
     return golden_keys(mix64(base ^ j) for j in range(1, model.depth + 1))
 
 
@@ -140,18 +132,6 @@ def _top_k(scores: np.ndarray, k: int) -> list[int]:
     if k == len(scores):
         winners.append(k * (k - 1) // 2 - sum(winners))
     return winners
-
-
-def early_topk(model: MockModel, hidden_at_dbar: HiddenState, k: int) -> list[int]:
-    """The k highest-scoring token ids, best first (scores never tie; see _top_k)."""
-    if not (1 <= k <= model.vocab_size):
-        raise DomainError(f"k must lie in [1, vocab_size], got k={k}, vocab={model.vocab_size}")
-    return _top_k(_scorer(model)(hidden_at_dbar.value)[0], k)
-
-
-def final_token(model: MockModel, hidden_at_d: HiddenState) -> int:
-    """Greedy pick from the final-layer state; same scorer as early_topk."""
-    return int(_scorer(model)(hidden_at_d.value)[0].argmax())
 
 
 def _bias_bits(model: MockModel, first: int, n: int) -> list[bool]:
@@ -272,14 +252,13 @@ def decode_ppd(
     )
 
 
-def emit_trace(
-    result: DecodeResult, example_id: str = "decode", layer: int | None = None
-) -> TraceTable:
+def emit_trace(result: DecodeResult) -> TraceTable:
     """Turn a pipelined DecodeResult into per-position prediction records.
 
     One record per generated position that has a recorded match outcome
     (all but the last token), so a membership test over the records
-    reproduces result.match_trace bit for bit.
+    reproduces result.match_trace bit for bit.  Every row has example id
+    ``"decode"`` and no layer.
     """
     if len(result.early_candidates) != len(result.tokens):
         raise DomainError("result has no early candidate lists; decode_ppd produces them")
@@ -287,14 +266,14 @@ def emit_trace(
     k = len(result.early_candidates[0])  # decode_ppd reads k candidates at every position
     topk = np.array(result.early_candidates[:n], dtype=np.int64).reshape(n, k)
     return TraceTable(
-        example_ids=(example_id,),
+        example_ids=("decode",),
         example_code=np.zeros(n, np.int64),
         position=np.arange(1, n + 1),
         topk=topk,
         topk_len=np.full(n, k),
         final=np.array(result.tokens[:n], dtype=np.int64),
-        layer=np.full(n, 0 if layer is None else layer),
-        layer_absent=np.full(n, layer is None),
+        layer=np.zeros(n, np.int64),
+        layer_absent=np.ones(n, bool),
     )
 
 

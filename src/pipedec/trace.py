@@ -192,9 +192,14 @@ def planted_trace(
     Useful for calibration tests and as CLI demo input.
     """
     p_correct = check_p(p_correct)
+    n_positions = check_int("n_positions", n_positions, 0)
+    k, vocab = check_int("k", k, None), check_int("vocab", vocab, None)
     if k < 1 or k + 1 > vocab:
         raise DomainError(f"need 1 <= k < vocab, got k={k}, vocab={vocab}")
+    seed = check_int("seed", seed, None)
     check_int("positions_per_example", positions_per_example, 1)
+    if layer is not None:
+        layer = check_int("layer", layer, None)
     bits = Stream.from_seed(seed, 0).uniforms(n_positions) < p_correct
     content = Stream.from_seed(seed, 1).uniforms(3 * n_positions)
     bases = (content[0::3] * (vocab - k - 1)).astype(np.int64)

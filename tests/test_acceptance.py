@@ -196,7 +196,7 @@ def test_criterion_5_estimator_calibration() -> None:
 def test_criterion_6_end_to_end_pipe() -> None:
     model = mockmodel.MockModel(vocab_size=32, depth=24, seed=606, bias=0.55)
     result = mockmodel.decode_ppd(model, (7, 3), 48, d_bar=12, k=3)
-    records = mockmodel.emit_trace(result, example_id="pipe")
+    records = mockmodel.emit_trace(result)
     report = trace.match_rate(records, 3)
 
     bits = result.match_trace.bits

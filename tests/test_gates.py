@@ -1,7 +1,8 @@
 """The integer gate ``check_int`` and the bool gate of ``MatchSequence``, at every entry point.
 
 Each gated argument rejects a bool, a float, a string and the integer one below its bound
-with a ``DomainError`` that names it; none of them is coerced.
+with a ``DomainError`` that names it; none of them is coerced.  An argument that ``check_int``
+checks for type only rejects the first three.
 """
 
 from __future__ import annotations
@@ -39,11 +40,17 @@ GATES = {
     "match_rate_by_bucket": ("bucket_width", 1, lambda v: match_rate_by_bucket(_TABLE, 2, v)),
     "planted_trace": ("positions_per_example", 1,
                       lambda v: planted_trace(0.5, 12, 2, 0, positions_per_example=v)),
+    "planted_trace.n_positions": ("n_positions", 0, lambda v: planted_trace(0.5, v, 2, 0)),
+    # type only: k and vocab have planted_trace's own range message, seed and layer no bound
+    "planted_trace.k": ("k", None, lambda v: planted_trace(0.5, 12, v, 0)),
+    "planted_trace.vocab": ("vocab", None, lambda v: planted_trace(0.5, 12, 1, 0, vocab=v)),
+    "planted_trace.seed": ("seed", None, lambda v: planted_trace(0.5, 12, 2, v)),
+    "planted_trace.layer": ("layer", None, lambda v: planted_trace(0.5, 12, 2, 0, layer=v)),
 }
 CASES = [
     pytest.param(name, least, call, bad, id=f"{entry}-{bad!r}")
     for entry, (name, least, call) in GATES.items()
-    for bad in (True, 2.5, "3", least - 1)
+    for bad in (True, 2.5, "3") + (() if least is None else (least - 1,))
 ]
 
 
@@ -58,6 +65,7 @@ def test_gated_argument_rejects_a_mistyped_or_small_value(name, least, call, bad
 
 @pytest.mark.parametrize("name, least, call", GATES.values(), ids=GATES)
 def test_gated_argument_accepts_its_least_value(name, least, call) -> None:
+    least = 2 if least is None else least  # every type-only argument admits 2
     for value in (least, np.int64(least)):
         call(value)
 

@@ -15,23 +15,21 @@ from hypothesis import strategies as st
 from pipedec.core import DomainError, MatchSequence
 from pipedec.mockmodel import (
     _BIAS_TAG,
+    _LAYER_TAG,
     _PREFIX_TAG,
     _SCORE_TAG,
     _bias_bits,
     _layer_keys,
     _scorer,
+    _top_k,
     EOS_TOKEN,
     DecodeResult,
-    HiddenState,
     MockModel,
     decode_ppd,
     decode_sequential,
-    early_topk,
     emit_trace,
     exactness_counterexample,
     extend_digest,
-    final_token,
-    forward_layer,
     prefix_digest,
     random_instance,
 )
@@ -42,37 +40,52 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_rollout.json"
 _MASK64 = (1 << 64) - 1
 
 
+def reference_layer(model: MockModel, h: int, layer: int, digest: int) -> int:
+    """One layer on plain ints, from the documented semantics: one scalar mix64 per key."""
+    key = mix64(mix64((model.seed & _MASK64) ^ _LAYER_TAG) ^ layer)
+    return mix64((h + key + digest) & _MASK64)
+
+
+def kernel_layer(keys: tuple[int, ...], h: int, layer: int, digest: int) -> int:
+    """The decoders' one-layer step: ``mix64_chain`` over layer ``layer``'s key alone."""
+    return mix64_chain(keys[layer - 1 : layer], h, digest)
+
+
+def kernel_topk(model: MockModel, h: int, k: int) -> list[int]:
+    """The decoders' top-k: ``_top_k`` of one fresh ``_scorer`` row."""
+    return _top_k(_scorer(model)(h)[0], k)
+
+
 def test_forward_layer_deterministic_and_layer_sensitive() -> None:
-    model = MockModel(vocab_size=16, depth=8, seed=1)
-    h0 = HiddenState(0)
-    assert forward_layer(model, h0, 1, 0) == forward_layer(model, h0, 1, 0)
-    assert forward_layer(model, h0, 1, 0) != forward_layer(model, h0, 2, 0)
-    assert forward_layer(model, h0, 1, 0) != forward_layer(model, h0, 1, 1)
+    keys = _layer_keys(MockModel(vocab_size=16, depth=8, seed=1))
+    assert kernel_layer(keys, 0, 1, 0) == kernel_layer(keys, 0, 1, 0)
+    assert kernel_layer(keys, 0, 1, 0) != kernel_layer(keys, 0, 2, 0)
+    assert kernel_layer(keys, 0, 1, 0) != kernel_layer(keys, 0, 1, 1)
 
 
 def test_forward_layer_collision_probe() -> None:
-    model = MockModel(vocab_size=16, depth=64, seed=5)
+    keys = _layer_keys(MockModel(vocab_size=16, depth=64, seed=5))
     rr = random.Random(0)
     seen = set()
     for _ in range(10_000):
-        h = HiddenState(rr.getrandbits(64))
+        h = rr.getrandbits(64)
         layer = rr.randint(1, 64)
         digest = rr.getrandbits(64)
-        seen.add((h.value, layer, digest, forward_layer(model, h, layer, digest).value))
+        seen.add((h, layer, digest, kernel_layer(keys, h, layer, digest)))
     outputs = {item[3] for item in seen}
     assert len(outputs) == len(seen)  # 64-bit mixer: collisions would be astronomical
 
 
 def test_layer_chain_reproduces_decoder_hidden() -> None:
-    # chaining layers 1..d via the public op must give the state the
+    # chaining layers 1..d with the scalar step must give the state the
     # classifiers see inside decode_sequential
     model = MockModel(vocab_size=16, depth=10, seed=77)
     prompt = (4, 2)
     digest = prefix_digest(model, prompt)
-    h = HiddenState(digest)
+    h = digest
     for layer in range(1, model.depth + 1):
-        h = forward_layer(model, h, layer, digest)
-    assert decode_sequential(model, prompt, 1).tokens[0] == final_token(model, h)
+        h = reference_layer(model, h, layer, digest)
+    assert decode_sequential(model, prompt, 1).tokens[0] == int(reference_scores(model, h).argmax())
 
 
 _WORDS = st.one_of(st.sampled_from((0, _MASK64)), st.integers(0, _MASK64))
@@ -85,33 +98,28 @@ _WORDS = st.one_of(st.sampled_from((0, _MASK64)), st.integers(0, _MASK64))
 @given(seed=st.integers(0, _MASK64), depth=st.integers(1, 64), value=_WORDS, digest=_WORDS,
        lo=st.integers(1, 64), hi=st.integers(0, 64))
 def test_chain_equals_repeated_forward_layer(seed, depth, value, digest, lo, hi) -> None:
-    # the decoders' inlined kernel on layers lo..hi against the public one-layer op,
-    # which calls the scalar mix64
+    # the decoders' inlined kernel on layers lo..hi against the scalar one-layer step
     model = MockModel(vocab_size=2, depth=depth, seed=seed)
     lo, hi = min(lo, depth), min(hi, depth)
-    h = HiddenState(value)
+    h = value
     for layer in range(lo, hi + 1):
-        h = forward_layer(model, h, layer, digest)
-    assert mix64_chain(_layer_keys(model)[lo - 1 : hi], value, digest) == h.value
+        h = reference_layer(model, h, layer, digest)
+    assert mix64_chain(_layer_keys(model)[lo - 1 : hi], value, digest) == h
 
 
 def test_early_topk_basics() -> None:
     model = MockModel(vocab_size=16, depth=8, seed=3)
-    h = HiddenState(123456)
-    full = early_topk(model, h, 16)
+    full = kernel_topk(model, 123456, 16)
     assert sorted(full) == list(range(16))
-    assert early_topk(model, h, 1) == full[:1]
-    assert early_topk(model, h, 2) == full[:2]
-    with pytest.raises(DomainError):
-        early_topk(model, h, 17)
-    with pytest.raises(DomainError):
-        early_topk(model, h, 0)
+    assert kernel_topk(model, 123456, 1) == full[:1]
+    assert kernel_topk(model, 123456, 2) == full[:2]
 
 
 def test_top1_frequency_is_uniform() -> None:
     model = MockModel(vocab_size=16, depth=8, seed=31337)
+    score = _scorer(model)
     n = 16000
-    counts = Counter(final_token(model, HiddenState(mix64(i))) for i in range(n))
+    counts = Counter(int(score(mix64(i))[0].argmax()) for i in range(n))
     sigma = math.sqrt(n * (1 / 16) * (15 / 16))
     for v in range(16):
         assert abs(counts[v] - n / 16) <= 3 * sigma
@@ -119,9 +127,10 @@ def test_top1_frequency_is_uniform() -> None:
 
 def test_final_token_matches_top1() -> None:
     model = MockModel(vocab_size=64, depth=8, seed=9)
+    score = _scorer(model)
     for i in range(200):
-        h = HiddenState(mix64(i))
-        assert final_token(model, h) == early_topk(model, h, 1)[0] == (
+        h = mix64(i)
+        assert int(score(h)[0].argmax()) == kernel_topk(model, h, 1)[0] == (
             int(reference_scores(model, h).argmax())
         )
 
@@ -193,8 +202,10 @@ def test_decode_ppd_rejects_bad_arguments() -> None:
     model = MockModel(vocab_size=16, depth=10, seed=1)
     with pytest.raises(DomainError):
         decode_ppd(model, (1,), 5, d_bar=4, k=3)  # below half depth
-    with pytest.raises(DomainError):
-        decode_ppd(model, (1,), 5, d_bar=8, k=17)
+    for k in (0, 17):
+        with pytest.raises(DomainError) as caught:
+            decode_ppd(model, (1,), 5, d_bar=8, k=k)
+        assert str(caught.value) == f"k must lie in [1, vocab_size], got k={k}, vocab=16"
     with pytest.raises(DomainError):
         decode_ppd(model, (1,), 0, d_bar=8, k=3)
 
@@ -229,16 +240,12 @@ def test_handoff_state_equals_fresh_forward() -> None:
     context = (5, 1, 7)
     digest = prefix_digest(model, context)
     assert extend_digest(model, prefix_digest(model, context[:-1]), 7) == digest
-    window = 4
-    h = HiddenState(digest)
+    window, keys = 4, _layer_keys(model)
+    h = digest
     for layer in range(1, window + 1):
-        h = forward_layer(model, h, layer, digest)  # sub-process part
-    for layer in range(window + 1, model.depth + 1):
-        h = forward_layer(model, h, layer, digest)  # main continues after handoff
-    full = HiddenState(digest)
-    for layer in range(1, model.depth + 1):
-        full = forward_layer(model, full, layer, digest)
-    assert h == full
+        h = reference_layer(model, h, layer, digest)  # sub-process part
+    h = mix64_chain(keys[window:], h, digest)  # main continues after handoff
+    assert h == mix64_chain(keys, digest, digest)
 
 
 def test_bias_dials_match_rate_up() -> None:
@@ -255,14 +262,14 @@ def test_bias_dials_match_rate_up() -> None:
 def test_emit_trace_mirrors_match_trace() -> None:
     model = MockModel(vocab_size=16, depth=12, seed=202, bias=0.5)
     res = decode_ppd(model, (4,), 20, d_bar=8, k=3)
-    table = emit_trace(res, example_id="case", layer=8)
+    table = emit_trace(res)
     n = len(res.tokens) - 1
-    assert len(table) == n and table.example_ids == ("case",)
+    assert len(table) == n and table.example_ids == ("decode",)
     assert table.topk_len.tolist() == [3] * n  # every row is full, so no padding below
     member_bits = (table.topk == table.final[:, None]).any(axis=1)
     assert tuple(member_bits.tolist()) == res.match_trace.bits
     assert table.position.tolist() == list(range(1, len(res.tokens)))
-    assert table.layer.tolist() == [8] * n and not table.layer_absent.any()
+    assert table.layer_absent.all()
 
 
 def test_emit_trace_requires_pipelined_result() -> None:
@@ -321,13 +328,13 @@ def test_random_instance_draws_are_pinned() -> None:
 
 # ------------------------------------------------- exactness properties
 
-def reference_scores(model: MockModel, h: HiddenState) -> np.ndarray:
+def reference_scores(model: MockModel, h: int) -> np.ndarray:
     """Both classifiers' scores, one scalar mix64 per id."""
     base = mix64((model.seed & _MASK64) ^ _SCORE_TAG)
-    return np.array([mix64((h.value ^ base) ^ i) for i in range(model.vocab_size)], np.uint64)
+    return np.array([mix64((h ^ base) ^ i) for i in range(model.vocab_size)], np.uint64)
 
 
-def reference_topk(model: MockModel, h: HiddenState, k: int) -> list[int]:
+def reference_topk(model: MockModel, h: int, k: int) -> list[int]:
     return [int(i) for i in np.argsort(~reference_scores(model, h), kind="stable")[:k]]
 
 
@@ -338,17 +345,17 @@ def reference_bias_hit(model: MockModel, position: int) -> bool:
 
 
 def reference_ppd(model: MockModel, prompt, ell: int, d_bar: int, k: int) -> DecodeResult:
-    """decode_ppd restated from the public ops, recomputing everything per token.
+    """decode_ppd restated on plain ints, recomputing everything per token.
 
     Each position's digest is prefix_digest of its whole context, every
-    layer is one forward_layer, candidates come from a stable argsort and
+    layer is one reference_layer, candidates come from a stable argsort and
     the final token from the argmax of reference_scores.
     """
     d, window = model.depth, model.depth - d_bar
 
-    def run(h: HiddenState, digest: int, lo: int, hi: int) -> HiddenState:
+    def run(h: int, digest: int, lo: int, hi: int) -> int:
         for layer in range(lo, hi + 1):
-            h = forward_layer(model, h, layer, digest)
+            h = reference_layer(model, h, layer, digest)
         return h
 
     context, tokens, bits, lists = list(prompt), [], [], []
@@ -357,7 +364,7 @@ def reference_ppd(model: MockModel, prompt, ell: int, d_bar: int, k: int) -> Dec
     for _ in range(ell):
         digest = prefix_digest(model, context)
         if handoff is None:
-            h_dbar, main = run(HiddenState(digest), digest, 1, d_bar), main + d
+            h_dbar, main = run(digest, digest, 1, d_bar), main + d
         else:
             h_dbar, main = run(handoff, digest, window + 1, d_bar), main + d_bar
         h_d = run(h_dbar, digest, d_bar + 1, d)
@@ -366,7 +373,7 @@ def reference_ppd(model: MockModel, prompt, ell: int, d_bar: int, k: int) -> Dec
         subs = {}
         for c in cands:
             sub_digest = prefix_digest(model, context + [c])
-            subs[c] = run(HiddenState(sub_digest), sub_digest, 1, window)
+            subs[c] = run(sub_digest, sub_digest, 1, window)
         spec += k * window
         final = int(reference_scores(model, h_d).argmax())
         tokens.append(final)
@@ -457,10 +464,9 @@ def test_decoders_equal_slow_reference(case) -> None:
 )
 def test_early_topk_equals_stable_argsort(vocab: int, seed: int, hidden: int) -> None:
     model = MockModel(vocab_size=vocab, depth=4, seed=seed)
-    h = HiddenState(hidden)
-    order = np.argsort(~reference_scores(model, h), kind="stable")
+    order = np.argsort(~reference_scores(model, hidden), kind="stable")
     for k in range(1, vocab + 1):
-        assert early_topk(model, h, k) == order[:k].tolist()
+        assert kernel_topk(model, hidden, k) == order[:k].tolist()
 
 
 def unmix64(y: int) -> int:
@@ -499,15 +505,15 @@ def planted_zero_score(vocab: int, zero_id: int):
         model = MockModel(vocab, 1, seed)
         base = mix64(seed ^ _SCORE_TAG)
         h = unmix64(0) ^ base ^ zero_id
-        key = unmix64(forward_layer(model, HiddenState(0), 1, 0).value)
+        key = unmix64(reference_layer(model, 0, 1, 0))
         twice = (unmix64(h) - key) & _MASK64
         if twice % 2:
             continue
         digest = twice // 2
         token = unmix64(digest) ^ mix64(seed ^ _PREFIX_TAG)
         assert prefix_digest(model, (token,)) == digest
-        assert forward_layer(model, HiddenState(digest), 1, digest).value == h
-        return model, (token,), HiddenState(h)
+        assert reference_layer(model, digest, 1, digest) == h
+        return model, (token,), h
     raise AssertionError("no seed below 64 plants the state")
 
 
@@ -520,7 +526,7 @@ def test_zero_score_is_ranked_last_at_k_equal_vocab(zero_id) -> None:
     assert sorted(scores.tolist())[0] == 0
     order = np.argsort(~scores, kind="stable").tolist()
     assert order[-1] == (vocab - 1 if zero_id == "last" else 0)
-    assert early_topk(model, h, vocab) == order
+    assert kernel_topk(model, h, vocab) == order
     ppd = decode_ppd(model, prompt, 6, 1, vocab)
     assert ppd.early_candidates[0] == tuple(order)
     assert ppd == reference_ppd(model, prompt, 6, 1, vocab)
@@ -530,9 +536,9 @@ def test_scorer_rows_are_rescored_on_every_call() -> None:
     # one scorer reuses its buffer: rows of two, then one, then the first value again
     model = MockModel(vocab_size=300, depth=4, seed=17)
     score = _scorer(model)
-    a, b, c = (HiddenState(mix64(i)) for i in range(3))
+    a, b, c = (mix64(i) for i in range(3))
     for values in ((a, b), (c,), (a,)):
-        rows = score(*(h.value for h in values))
+        rows = score(*values)
         assert rows.shape == (len(values), 300)
         for row, h in zip(rows, values):
             assert np.array_equal(row, reference_scores(model, h))
