@@ -23,13 +23,6 @@ from .tracetable import decode_json
 CONFIG_KEYS = ("d", "dbar", "k", "l", "p")  # a --config file's keys, each also a flag
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _int_list(text: str) -> list[int]:
     return _nonempty([int(x) for x in text.split(",") if x.strip()])
 
@@ -200,7 +193,7 @@ def _first_defect(lo: int, hi: int, seed: int) -> tuple[int, str] | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    lows = range(0, args.instances, VERIFY_CHUNK)
+    lows = range(0, check_int("--instances", args.instances, 1), VERIFY_CHUNK)
     highs = [min(lo + VERIFY_CHUNK, args.instances) for lo in lows]
     workers = min(len(os.sched_getaffinity(0)), len(lows))
     mapper, pool = map, None
@@ -258,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = subs.add_parser("simulate", help="Monte Carlo estimate of the expectations")
     _add_config_flags(p_sim)
-    p_sim.add_argument("--trials", type=_positive_int, default=10000)
+    p_sim.add_argument("--trials", type=int, default=10000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -276,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = subs.add_parser("matchrate", help="estimate the match rate from a JSONL trace")
     p_rate.add_argument("--input", type=Path, required=True)
-    p_rate.add_argument("--k", type=_positive_int, required=True)
-    p_rate.add_argument("--bucket", type=_positive_int, default=None,
+    p_rate.add_argument("--k", type=int, required=True)
+    p_rate.add_argument("--bucket", type=int, default=None,
                         help="bucket width for per-position rates")
     p_rate.add_argument("--format", choices=("json", "csv"), default="json")
     p_rate.set_defaults(func=cmd_matchrate)
 
     p_verify = subs.add_parser("verify", help="pipelined-vs-sequential exactness suite")
-    p_verify.add_argument("--instances", type=_positive_int, default=1000)
+    p_verify.add_argument("--instances", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser

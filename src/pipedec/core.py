@@ -17,7 +17,8 @@ class DomainError(ValueError):
 
 def check_p(p: float, name: str = "p_correct") -> float:
     """Return ``p`` as a float, rejecting bools, non-numbers and values outside [0, 1] or NaN."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+    # a plain float skips the ABC check, which takes ~13 us when the caches are cold
+    if type(p) is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
         raise DomainError(f"{name} must be a number, got {p!r}")
     value = float(p)
     if not (0.0 <= value <= 1.0):
@@ -89,45 +90,49 @@ def closed_form_totals(d: int, d_bar: int, k: int, ell: int, n_runs: int | np.nd
     return latency, latency + k * (d - d_bar) * ell
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchSequence:
     """Per-position early-prediction outcomes for an ell-token generation.
 
-    ``bits`` has exactly ell-1 bools; bits[t] is True iff the early
-    top-k candidates for (1-based) token t+1 contained its final token,
-    in which case token t+2 starts from the handed-off partial state.
+    ``bits`` is a read-only numpy copy of exactly ell-1 bools; bits[t] is
+    True iff the early top-k candidates for (1-based) token t+1 contained
+    its final token, in which case token t+2 starts from the handed-off
+    partial state.
     """
 
-    bits: tuple[bool, ...]
+    bits: np.ndarray
 
     def __post_init__(self) -> None:
-        bits = []
-        for at, bit in enumerate(self.bits):
-            # identity tests first: an isinstance per bit makes a 4096-bit build ~4x slower
-            if bit is not True and bit is not False:
-                if not isinstance(bit, np.bool_):
-                    raise DomainError(f"bits[{at}] must be a bool, got {bit!r}")
-                bit = bool(bit)
-            bits.append(bit)
-        object.__setattr__(self, "bits", tuple(bits))
+        bits = self.bits
+        if not (isinstance(bits, np.ndarray) and bits.dtype == bool):
+            bits = list(bits)  # a generator is read once; an object array is checked by item
+        try:
+            array = np.array(bits) if len(bits) else np.zeros(0, bool)  # a copy, never a view
+        except ValueError:  # a ragged nesting, which holds a non-bool
+            array = np.zeros((0, 0))  # fails the check below
+        if array.dtype != bool or array.ndim != 1:
+            at, bit = next((at, bit) for at, bit in enumerate(bits)
+                           if not isinstance(bit, (bool, np.bool_)))
+            raise DomainError(f"bits[{at}] must be a bool, got {bit!r}")
+        array.flags.writeable = False
+        object.__setattr__(self, "bits", array)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatchSequence):
+            return NotImplemented
+        return np.array_equal(self.bits, other.bits)
 
     @property
     def n_runs(self) -> int:
         """N: the number of maximal matched streaks, one more than the misses."""
-        return 1 + self.bits.count(False)
+        return 1 + len(self.bits) - int(np.count_nonzero(self.bits))
 
     @classmethod
     def from_string(cls, text: str) -> "MatchSequence":
         """Parse a compact 'TTFT...' form (case-insensitive, 1/0 accepted)."""
-        bits = []
-        for ch in text.strip():
-            if ch in "Tt1":
-                bits.append(True)
-            elif ch in "Ff0":
-                bits.append(False)
-            else:
-                raise DomainError(f"match string may only contain T/F/1/0, got {ch!r}")
-        return cls(tuple(bits))
+        if bad := next((ch for ch in text.strip() if ch not in "TtFf10"), None):
+            raise DomainError(f"match string may only contain T/F/1/0, got {bad!r}")
+        return cls([ch in "Tt1" for ch in text.strip()])
 
 
 @dataclass(frozen=True)

@@ -241,11 +241,10 @@ def decode_ppd(
         else:
             handoff, digest = None, extend_digest(model, digest, final)
 
-    # the last position's match outcome accelerates nothing and is not recorded
-    trace = MatchSequence(tuple(match_bits[: len(tokens) - 1]))
     return DecodeResult(
         tokens=tuple(tokens),
-        match_trace=trace,
+        # the last position's match outcome accelerates nothing and is not recorded
+        match_trace=MatchSequence(match_bits[: len(tokens) - 1]),
         main_layer_count=main_layers,
         spec_layer_count=spec_layers,
         early_candidates=tuple(early_lists),

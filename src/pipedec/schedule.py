@@ -63,10 +63,9 @@ def build_schedule(config: DecodingConfig, matches: MatchSequence) -> ScheduleTi
         )
 
     window = d - d_bar
-    bits = np.fromiter(matches.bits, dtype=bool, count=ell - 1)
-    if k == 0 and bits.any():
+    if k == 0 and matches.bits.any():
         raise DomainError("k = 0 has no early candidate to match, so every match bit must be F")
-    resumed, matched_next = np.insert(bits, 0, False), np.append(bits, False)
+    resumed, matched_next = np.insert(matches.bits, 0, False), np.append(matches.bits, False)
     # a fresh run computes layers 1..d_bar; a resume starts from the
     # handed-off layer-(d-d_bar) state, so 2*d_bar-d layers (maybe none)
     pre = np.where(resumed, 2 * d_bar - d, d_bar)

@@ -31,7 +31,7 @@ def sample_match_sequence(stream: Stream, p_correct: float, ell: int) -> MatchSe
     """
     p = check_p(p_correct)
     u = stream.uniforms(check_int("ell", ell, 1) - 1)
-    return MatchSequence((u < p).tolist())
+    return MatchSequence(u < p)
 
 
 @dataclass(frozen=True)

@@ -483,10 +483,42 @@ def test_verify_without_two_chunks_and_two_cpus_starts_no_process(
     assert capsys.readouterr().out == _serial_verify(instances, 5)
 
 
-def test_verify_zero_instances_is_usage_error() -> None:
+def test_verify_zero_instances_is_usage_error(capsys) -> None:
+    assert main(["verify", "--instances", "0"]) == 2
+    assert capsys.readouterr().err == "error: --instances must be >= 1, got 0\n"
+
+
+def test_count_flags_are_gated_by_check_int(tmp_path, capsys) -> None:
+    # --trials, --k, --bucket and --instances are plain ints; the library's gate names them
+    path = tmp_path / "trace.jsonl"
+    save_traces(planted_trace(0.5, 50, 2, seed=1), path)
+    rate = ["matchrate", "--input", str(path)]
+    for argv, message in [
+        (["simulate", *ANALYZE[1:], "--trials", "0"], "trials must be >= 1, got 0"),
+        ([*rate, "--k", "0"], "k must be >= 1, got 0"),
+        ([*rate, "--k", "2", "--bucket", "0"], "bucket_width must be >= 1, got 0"),
+        (["verify", "--instances", "-3"], "--instances must be >= 1, got -3"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_matchrate_reads_the_trace_before_it_checks_k(tmp_path, capsys) -> None:
+    missing = tmp_path / "nope.jsonl"
+    assert main(["matchrate", "--input", str(missing), "--k", "0"]) == 2
+    assert str(missing) in capsys.readouterr().err
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["matchrate", "--input", str(empty), "--k", "0"]) == 2
+    assert capsys.readouterr().err == "error: cannot estimate a match rate from zero records\n"
+
+
+def test_a_count_flag_that_is_not_a_number_names_int(capsys) -> None:
     with pytest.raises(SystemExit) as err:
-        main(["verify", "--instances", "0"])
+        main(["verify", "--instances", "x"])
     assert err.value.code == 2
+    assert "argument --instances: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_verify_defaults_to_thousand_instances() -> None:

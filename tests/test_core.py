@@ -63,9 +63,9 @@ def test_probability_rejected_at_construction() -> None:
 
 def test_match_sequence_string_round_trip() -> None:
     seq = MatchSequence.from_string("TTFT")
-    assert seq.bits == (True, True, False, True)
+    assert seq.bits.tolist() == [True, True, False, True]
     assert len(seq.bits) + 1 == 5
-    assert MatchSequence.from_string("1101").bits == seq.bits
+    assert MatchSequence.from_string("1101") == seq
     with pytest.raises(DomainError):
         MatchSequence.from_string("TTX")
 

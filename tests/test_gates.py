@@ -1,4 +1,5 @@
-"""The integer gate ``check_int`` and the bool gate of ``MatchSequence``, at every entry point.
+"""The gates ``check_int`` and ``check_p``, at every entry point, and the bool gate of
+``MatchSequence``.
 
 Each gated argument rejects a bool, a float, a string and the integer one below its bound
 with a ``DomainError`` that names it; none of them is coerced.  An argument that ``check_int``
@@ -15,7 +16,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pipedec.cli import main
-from pipedec.core import DecodingConfig, DomainError, LatencyComputeReport, MatchSequence, check_int
+from pipedec.core import (
+    DecodingConfig,
+    DomainError,
+    LatencyComputeReport,
+    MatchSequence,
+    check_int,
+    check_p,
+)
 from pipedec.mockmodel import MockModel, decode_sequential
 from pipedec.rng import Stream
 from pipedec.stochastic import monte_carlo, sample_match_sequence
@@ -81,6 +89,10 @@ def test_sweep_p_steps_error_names_the_value(capsys) -> None:
     ((1, 0), "bits[0] must be a bool, got 1"),
     ((None,), "bits[0] must be a bool, got None"),
     ((True, 2, None), "bits[1] must be a bool, got 2"),
+    ([True, 1], "bits[1] must be a bool, got 1"),
+    ([True, [True]], "bits[1] must be a bool, got [True]"),
+    (np.array([[True, False]]), "bits[0] must be a bool, got array([ True, False])"),
+    (np.array([True, 0.5], dtype=object), "bits[1] must be a bool, got 0.5"),
 ])
 def test_match_sequence_rejects_non_bool_bits(bits, message) -> None:
     with pytest.raises(DomainError) as caught:
@@ -88,11 +100,62 @@ def test_match_sequence_rejects_non_bool_bits(bits, message) -> None:
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("p, message", [
+    (True, "p_correct must be a number, got True"),
+    ("0.5", "p_correct must be a number, got '0.5'"),
+    (None, "p_correct must be a number, got None"),
+    (float("nan"), "p_correct must lie in [0, 1], got nan"),
+    (np.float64("nan"), "p_correct must lie in [0, 1], got nan"),
+    (1.5, "p_correct must lie in [0, 1], got 1.5"),
+    (-1, "p_correct must lie in [0, 1], got -1"),
+])
+def test_check_p_rejects_a_non_number_or_one_outside_the_unit_interval(p, message) -> None:
+    with pytest.raises(DomainError) as caught:
+        check_p(p)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("p", [0.25, np.float64(0.25), 0, 1, np.int64(1), np.float32(0.5)])
+def test_check_p_returns_a_float(p) -> None:
+    value = check_p(p)
+    assert type(value) is float and value == float(p)
+
+
 def test_match_sequence_accepts_numpy_bools() -> None:
     seq = MatchSequence(np.array([True, False, True]))
-    assert seq.bits == (True, False, True)
-    assert {type(bit) for bit in seq.bits} == {bool}
-    assert seq.n_runs == 2
+    assert seq.bits.dtype == np.bool_ and seq.bits.tolist() == [True, False, True]
+    assert seq.n_runs == 2 and type(seq.n_runs) is int
+
+
+ALPHABET = [True, False, np.True_, np.False_, 0, 1, 0.0, None, "T"]
+FORMS = {"tuple": tuple, "list": list, "generator": iter, "array": np.array,
+         "object array": lambda values: np.array(values, dtype=object)}
+
+
+@given(values=st.lists(st.sampled_from(ALPHABET), max_size=8), form=st.sampled_from(list(FORMS)))
+def test_match_sequence_holds_exactly_the_bool_inputs(values, form) -> None:
+    source = FORMS[form](values)
+    items = list(source) if isinstance(source, np.ndarray) else values  # numpy may convert them
+    offender = next(((at, v) for at, v in enumerate(items)
+                     if not isinstance(v, (bool, np.bool_))), None)
+    if offender is not None:
+        with pytest.raises(DomainError) as caught:
+            MatchSequence(source)
+        assert str(caught.value) == f"bits[{offender[0]}] must be a bool, got {offender[1]!r}"
+        return
+    seq = MatchSequence(source)
+    bools = [bool(v) for v in values]
+    assert seq.bits.dtype == np.bool_ and seq.bits.ndim == 1 and seq.bits.tolist() == bools
+    assert seq == MatchSequence(bools) and type(seq.n_runs) is int
+    assert seq.n_runs == 1 + bools.count(False)
+    assert not seq.bits.flags.writeable
+    with pytest.raises(ValueError):
+        seq.bits[:1] = True
+    if isinstance(source, np.ndarray):
+        assert not np.shares_memory(seq.bits, source)
+        source[:] = [not v for v in bools]
+        assert seq.bits.tolist() == bools
+    assert MatchSequence.from_string("".join("T" if b else "F" for b in bools)) == seq
 
 
 @given(

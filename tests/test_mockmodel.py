@@ -141,7 +141,7 @@ def test_decode_sequential_single_token() -> None:
     assert len(res.tokens) == 1
     assert res.main_layer_count == 8
     assert res.spec_layer_count == 0
-    assert res.match_trace.bits == ()
+    assert res.match_trace.bits.tolist() == []
 
 
 def test_decode_sequential_stops_at_eos() -> None:
@@ -267,7 +267,7 @@ def test_emit_trace_mirrors_match_trace() -> None:
     assert len(table) == n and table.example_ids == ("decode",)
     assert table.topk_len.tolist() == [3] * n  # every row is full, so no padding below
     member_bits = (table.topk == table.final[:, None]).any(axis=1)
-    assert tuple(member_bits.tolist()) == res.match_trace.bits
+    assert member_bits.tolist() == res.match_trace.bits.tolist()
     assert table.position.tolist() == list(range(1, len(res.tokens)))
     assert table.layer_absent.all()
 
