@@ -104,10 +104,12 @@ class MatchSequence:
 
     def __post_init__(self) -> None:
         bits = self.bits
-        if not (isinstance(bits, np.ndarray) and bits.dtype == bool):
-            bits = list(bits)  # a generator is read once; an object array is checked by item
         try:
+            if not (isinstance(bits, np.ndarray) and bits.dtype == bool):
+                bits = list(bits)  # a generator is read once; an object array is checked by item
             array = np.array(bits) if len(bits) else np.zeros(0, bool)  # a copy, never a view
+        except TypeError:  # not iterable, or a 0-d array
+            raise DomainError(f"bits must be a sequence of bools, got {bits!r}") from None
         except ValueError:  # a ragged nesting, which holds a non-bool
             array = np.zeros((0, 0))  # fails the check below
         if array.dtype != bool or array.ndim != 1:

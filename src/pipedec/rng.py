@@ -131,6 +131,7 @@ def counter_uniforms(key: int | np.ndarray, n: int) -> np.ndarray:
     return (words >> _U(11)).astype(np.float64) * (2.0 ** -53)
 
 
+_BLOCK_KEYS = 1 << 12  # stream keys per buffer row
 _BLOCK_WORDS = 1 << 15  # words per work buffer: 256 KB of uint64 stays in L2
 
 
@@ -138,30 +139,37 @@ def counter_hits(keys: np.ndarray, n: int, p: float) -> np.ndarray:
     """Count, per stream key, the draws 0..n-1 that fall below ``p``.
 
     Equals ``(counter_uniforms(keys, n) < p).sum(axis=1)`` exactly (int64,
-    shape (m,)) without the (m, n) matrix: keys go ``_BLOCK_WORDS // n`` at
-    a time through two reused uint64 buffers, mix64 runs in place on them,
-    and its leading ``+GOLDEN`` is folded into the counter row.
+    shape (m,)) without the (m, n) matrix.  Blocks are draw-major: a row is
+    one draw over a run of cols <= ``_BLOCK_KEYS`` keys, a block is
+    j = min(n, 255, _BLOCK_WORDS // cols) rows in reused buffers, mix64 runs
+    in place (its ``+GOLDEN`` folded into the counters), and each block's
+    hits are summed down its rows in uint8, exact since j <= 255.
 
-    A draw is ``u = z * 2**-53`` with integer ``z = w >> 11 < 2**53``, and
-    scaling by a power of two is exact, so ``u < p`` iff ``z < p * 2**53``
-    iff ``z < ceil(p * 2**53)``: the count compares integers.
+    ``u = (w >> 11) * 2**-53`` and scaling by a power of two is exact, so
+    ``u < p`` iff ``w >> 11 < T = ceil(p * 2**53)`` iff ``w < T * 2**11``.
+    ``T = 2**53`` (p = 1), where every draw hits, is answered up front,
+    since ``T * 2**11`` would overflow 64 bits.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     m = keys.shape[0]
-    hits = np.zeros(m, dtype=np.int64)
-    if n == 0:
-        return hits
-    threshold = _U(math.ceil(float(p) * 2.0 ** 53))
+    threshold = math.ceil(float(p) * 2.0 ** 53)
+    if n == 0 or m == 0 or threshold >= 2 ** 53:  # no draw, no key, or every draw hits
+        return np.full(m, n, dtype=np.int64)
+    limit = _U(threshold << 11)
     ctr = np.arange(2, n + 2, dtype=np.uint64) * _GOLDEN_U
-    rows = max(1, _BLOCK_WORDS // n)
-    z_buf = np.empty((min(rows, m), n), dtype=np.uint64)
-    t_buf = np.empty_like(z_buf)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        z, t = z_buf[: hi - lo], t_buf[: hi - lo]
-        np.add(keys[lo:hi, None], ctr, out=z)
-        np.right_shift(mix64_finalize(z, t), _U(11), out=z)
-        hits[lo:hi] = np.count_nonzero(z < threshold, axis=1)
+    cols = min(m, _BLOCK_KEYS)
+    rows = min(n, 255, _BLOCK_WORDS // cols)
+    z_buf, t_buf = np.empty((2, rows, cols), dtype=np.uint64)
+    b_buf = np.empty((rows, cols), dtype=bool)
+    hits = np.zeros(m, dtype=np.int64)
+    for lo in range(0, m, cols):
+        hi = min(lo + cols, m)
+        for a in range(0, n, rows):
+            e = min(a + rows, n)
+            z, t, b = (buf[: e - a, : hi - lo] for buf in (z_buf, t_buf, b_buf))
+            np.add(ctr[a:e, None], keys[lo:hi], out=z)
+            np.less(mix64_finalize(z, t), limit, out=b)
+            hits[lo:hi] += b.view(np.uint8).sum(axis=0, dtype=np.uint8)
     return hits
 
 

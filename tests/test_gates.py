@@ -93,6 +93,9 @@ def test_sweep_p_steps_error_names_the_value(capsys) -> None:
     ([True, [True]], "bits[1] must be a bool, got [True]"),
     (np.array([[True, False]]), "bits[0] must be a bool, got array([ True, False])"),
     (np.array([True, 0.5], dtype=object), "bits[1] must be a bool, got 0.5"),
+    (5, "bits must be a sequence of bools, got 5"),  # not iterable
+    (None, "bits must be a sequence of bools, got None"),
+    (np.array(True), "bits must be a sequence of bools, got array(True)"),  # 0-d
 ])
 def test_match_sequence_rejects_non_bool_bits(bits, message) -> None:
     with pytest.raises(DomainError) as caught:

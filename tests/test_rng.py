@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipedec.rng import (
+    _BLOCK_KEYS,
     _BLOCK_WORDS,
     GOLDEN,
     LANE_BITS,
@@ -73,22 +74,70 @@ def test_uniforms_look_uniform() -> None:
     assert abs(float(u.mean()) - 0.5) < 4 / np.sqrt(12 * 200_000)
 
 
-@pytest.mark.parametrize("n", [0, 1, 33, _BLOCK_WORDS + 1])
+# counter_hits' block edges: a buffer row spans up to W keys, and a block over a full run of
+# keys holds J draws (up to 255 over a shorter run)
+W = _BLOCK_KEYS
+J = _BLOCK_WORDS // _BLOCK_KEYS
+EDGE_KEYS = (W - 1, W, W + 1, 2 * W + 1)
+EDGE_DRAWS = (0, 1, J - 1, J, J + 1, 255, 256)
+
+
+def _drawn_ps(u: np.ndarray, drawn: float) -> tuple[float, ...]:
+    # the shortcut p = 1, the largest p below it, and a drawn value with its neighbours, which
+    # test the strict < at the boundary
+    return (0.0, 1.0, float(np.nextafter(1.0, 0.0)), drawn,
+            float(np.nextafter(drawn, 0.0)), float(np.nextafter(drawn, 1.0)))
+
+
+@pytest.mark.parametrize("n", sorted({0, 1, 33, _BLOCK_WORDS + 1, *EDGE_DRAWS}))
 def test_counter_hits_equals_float_reference(n: int) -> None:
-    # 2 blocks and one extra key, so the last block is partial
-    keys = stream_keys(99, 2 * max(1, _BLOCK_WORDS // max(n, 1)) + 1)
+    # each draw count at key counts around one and two key runs (partial last runs), or, past
+    # 256 draws, one key, whose blocks are 255 draws each
+    key_counts = EDGE_KEYS if n <= 256 else (1,)
+    keys = stream_keys(99, key_counts[-1])
     u = counter_uniforms(keys, n)
     drawn = float(u.flat[u.size // 2]) if u.size else 0.5
-    # a drawn value and its neighbours test the strict < at the boundary
-    for p in (0.0, 1.0, 2.0 ** -1074, 0.5, 0.6837, drawn,
-              float(np.nextafter(drawn, 0.0)), float(np.nextafter(drawn, 1.0))):
-        hits = counter_hits(keys, n, p)
-        assert hits.dtype == np.int64
-        assert np.array_equal(hits, (u < p).sum(axis=1)), p
+    for m in key_counts:
+        for p in (2.0 ** -1074, 0.5, 0.6837, *_drawn_ps(u, drawn)):
+            hits = counter_hits(keys[:m], n, p)
+            assert hits.dtype == np.int64
+            assert np.array_equal(hits, (u[:m] < p).sum(axis=1)), (m, p)
     if u.size:
         # the boundary is exercised: p = drawn excludes that draw, its upper neighbour counts it
         above = counter_hits(keys, n, float(np.nextafter(drawn, 1.0))).sum()
         assert above > counter_hits(keys, n, drawn).sum()
+
+
+def test_counter_hits_does_not_count_a_word_at_the_threshold() -> None:
+    # the count compares w < T * 2**11 strictly: a word whose low 11 bits are 0 draws exactly
+    # T * 2**-53, so at p equal to that draw it must not count
+    keys, n = stream_keys(99, 2 * W + 1), J + 1
+    words = mix64_np(keys[:, None] + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN))
+    u = counter_uniforms(keys, n)
+    at = np.flatnonzero(words % np.uint64(2048) == 0)[:3]
+    assert at.size == 3 and np.array_equal(u.flat[at] * 2.0 ** 53, words.flat[at] >> np.uint64(11))
+    for p in u.flat[at].tolist():
+        assert np.array_equal(counter_hits(keys, n, p), (u < p).sum(axis=1)), p
+
+
+@st.composite
+def hit_cases(draw):
+    """(keys, n): key and draw counts on both sides of the block edges, with m * n <= 2**17."""
+    m = draw(st.one_of(st.sampled_from((1, *EDGE_KEYS)), st.integers(0, 2 * W + 1)))
+    cap = min(600, 2**17 // max(m, 1))
+    n = draw(st.one_of(st.sampled_from([n for n in (*EDGE_DRAWS, 257) if n <= cap]),
+                       st.integers(0, cap)))
+    return stream_keys(draw(st.integers(0, _MASK64)), m), n
+
+
+@settings(max_examples=150)
+@given(case=hit_cases(), data=st.data())
+def test_counter_hits_equals_the_counted_uniforms(case, data) -> None:
+    keys, n = case
+    u = counter_uniforms(keys, n)
+    drawn = float(u.flat[data.draw(st.integers(0, u.size - 1))]) if u.size else 0.5
+    p = data.draw(st.sampled_from(_drawn_ps(u, drawn)))
+    assert np.array_equal(counter_hits(keys, n, p), (u < p).sum(axis=1))
 
 
 # a lane word: the extremes, where carries are largest or absent, or any 64-bit word

@@ -14,7 +14,7 @@ from pipedec.core import (
     MatchSequence,
     closed_form_totals,
 )
-from pipedec.rng import _BLOCK_WORDS, Stream
+from pipedec.rng import _BLOCK_KEYS, _BLOCK_WORDS, Stream
 from pipedec.stochastic import (
     MonteCarloSummary,
     monte_carlo,
@@ -193,12 +193,17 @@ def _per_trial_summary(cfg: DecodingConfig, trials: int, seed: int,
     return MonteCarloSummary(cfg, trials, seed, ml, mc, mn, sl, sc, sn)
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3, 257, _BLOCK_WORDS + 2])
+# ell - 1 draws per trial: J - 1, J and J + 1 around the kernel's draws per block over a full
+# run of keys, 255 and 256 around its uint8 cap, and one trial count past it
+J = _BLOCK_WORDS // _BLOCK_KEYS
+
+
+@pytest.mark.parametrize("ell", sorted({1, 2, 3, J, J + 1, J + 2, 256, 257, _BLOCK_WORDS + 2}))
 def test_monte_carlo_equals_per_trial_path_across_blocks(ell: int) -> None:
     cfg = DecodingConfig(40, 24, 2, ell, 0.6837)
     seed = 31
-    rows = max(1, _BLOCK_WORDS // max(1, ell - 1))  # keys per block of the kernel
-    counts = sorted({max(1, rows - 1), rows, rows + 1, 2 * rows + 1})
+    w = _BLOCK_KEYS  # trials per buffer row of the kernel; past 256 draws, a few trials suffice
+    counts = (w - 1, w, w + 1, 2 * w + 1) if ell <= 257 else (1, 2, 3)
     n_runs = np.array(
         [1 + np.count_nonzero(~sample_match_sequence(Stream.from_seed(seed, i), cfg.p_correct,
                                                      ell).bits)
