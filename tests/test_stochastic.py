@@ -194,7 +194,7 @@ def _per_trial_summary(cfg: DecodingConfig, trials: int, seed: int,
 
 
 # ell - 1 draws per trial: J - 1, J and J + 1 around the kernel's draws per block over a full
-# run of keys, 255 and 256 around its uint8 cap, and one trial count past it
+# run of keys, 255 and 256 around its uint8 cap, and _BLOCK_WORDS + 1, in blocks of 255 draws
 J = _BLOCK_WORDS // _BLOCK_KEYS
 
 
