@@ -8,14 +8,13 @@ outputs are stable byte streams.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import os
 import sys
+from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 
-from . import analytic, mockmodel, schedule, stochastic, svgout, trace
+from . import analytic, mockmodel, schedule, stochastic, svgout, trace, workers
 from .core import DecodingConfig, DomainError, LatencyComputeReport, MatchSequence, check_int
 from .rng import Stream
 from .tracetable import decode_json
@@ -195,26 +194,13 @@ def _first_defect(lo: int, hi: int, seed: int) -> tuple[int, str] | None:
 def cmd_verify(args: argparse.Namespace) -> int:
     lows = range(0, check_int("--instances", args.instances, 1), VERIFY_CHUNK)
     highs = [min(lo + VERIFY_CHUNK, args.instances) for lo in lows]
-    workers = min(len(os.sched_getaffinity(0)), len(lows))
-    mapper, pool = map, None
-    if workers > 1:
-        # imported here: at module level they would add ~20 ms to every command's start
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # forked workers start with pipedec imported; spawned ones would import it again
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        mapper = pool.map
-    try:
-        # results come in chunk order, so the first defect seen has the lowest index
-        for found in mapper(_first_defect, lows, highs, itertools.repeat(args.seed)):
+    # results come in chunk order, so the first defect seen has the lowest index
+    with closing(workers.map_chunks(_first_defect, lows, highs, args.seed)) as results:
+        for found in results:
             if found is not None:
                 index, defect = found
                 sys.stdout.write(f"FAIL at instance {index} (seed {args.seed}): {defect}\n")
                 return 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
     sys.stdout.write(
         f"PASS: {args.instances} pipelined-vs-sequential instances decoded identically "
         f"(seed {args.seed})\n"

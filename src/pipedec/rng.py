@@ -110,9 +110,9 @@ def stream_key(seed: int, stream: int = 0) -> int:
     return mix64(mix64(seed & _MASK64) ^ mix64(stream & _MASK64))
 
 
-def stream_keys(seed: int, n: int) -> np.ndarray:
-    """Keys of streams 0..n-1, equal elementwise to ``stream_key(seed, i)``."""
-    idx = np.arange(n, dtype=np.uint64)
+def stream_keys(seed: int, n: int, first: int = 0) -> np.ndarray:
+    """Keys of streams first..first+n-1, equal elementwise to ``stream_key(seed, i)``."""
+    idx = np.arange(first, first + n, dtype=np.uint64)
     base = np.full(n, mix64(seed & _MASK64), dtype=np.uint64)
     return mix64_np(base ^ mix64_np(idx))
 

@@ -9,7 +9,9 @@ N alone, so ``monte_carlo`` draws N per trial by counting the misses
 among trial i's ell-1 counter draws (the stream derived from (seed, i))
 and prices it with ``closed_form_totals``.  Trial i consumes the same
 draws as ``sample_match_sequence(Stream.from_seed(seed, i), ...)``, so
-the summary equals that per-trial path bit for bit.
+the summary equals that per-trial path bit for bit.  From ``POOL_DRAWS``
+draws on, the trials are counted in one contiguous run per usable CPU
+(``workers.map_chunks``); a trial's count depends on its key alone.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import numpy as np
 
 from .core import DecodingConfig, MatchSequence, check_int, check_p, closed_form_totals, require_p
 from .rng import Stream, counter_hits, stream_keys
+from .workers import map_chunks, usable_cpus
+
+POOL_DRAWS = 1 << 23  # trials * (ell - 1) from which monte_carlo splits trials over the CPUs
 
 
 def sample_match_sequence(stream: Stream, p_correct: float, ell: int) -> MatchSequence:
@@ -57,6 +62,11 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
+def _hits(lo: int, hi: int, seed: int, n: int, p: float) -> np.ndarray:
+    # the narrowest dtype for n: int64 results, unpickled in a pool's thread, grew the parent's RSS
+    return counter_hits(stream_keys(seed, hi - lo, lo), n, p).astype(np.min_scalar_type(n))
+
+
 def monte_carlo(config: DecodingConfig, trials: int, seed: int) -> MonteCarloSummary:
     """Estimate expected latency/compute/run-count over ``trials`` generations.
 
@@ -67,24 +77,18 @@ def monte_carlo(config: DecodingConfig, trials: int, seed: int) -> MonteCarloSum
     """
     p = require_p(config)
     trials = check_int("trials", trials, 1)
-    ell = config.ell
-    # N = 1 + the misses among the ell-1 draws
-    n_runs = ell - counter_hits(stream_keys(seed, trials), ell - 1, p)
+    ell, draws = config.ell, config.ell - 1
+    # one contiguous run of trials per CPU; N = 1 + the misses among the ell-1 draws
+    parts = min(usable_cpus(), trials) if trials * draws >= POOL_DRAWS else 1
+    bounds = [trials * i // parts for i in range(parts + 1)]
+    hits = map_chunks(_hits, bounds[:-1], bounds[1:], seed, draws, p)
+    n_runs = ell - np.concatenate(list(hits), dtype=np.int64)
     latency, compute = closed_form_totals(config.d, config.d_bar, config.k, ell, n_runs)
-    mean_lat, se_lat = _mean_stderr(latency.astype(np.float64))
-    mean_cmp, se_cmp = _mean_stderr(compute.astype(np.float64))
-    mean_n, se_n = _mean_stderr(n_runs.astype(np.float64))
-    return MonteCarloSummary(
-        config=config,
-        trials=trials,
-        seed=seed,
-        mean_latency=mean_lat,
-        mean_compute=mean_cmp,
-        mean_n_runs=mean_n,
-        stderr_latency=se_lat,
-        stderr_compute=se_cmp,
-        stderr_n_runs=se_n,
-    )
+    stats = [_mean_stderr(values.astype(np.float64)) for values in (latency, compute, n_runs)]
+    (mean_lat, se_lat), (mean_cmp, se_cmp), (mean_n, se_n) = stats
+    return MonteCarloSummary(config=config, trials=trials, seed=seed,
+                             mean_latency=mean_lat, mean_compute=mean_cmp, mean_n_runs=mean_n,
+                             stderr_latency=se_lat, stderr_compute=se_cmp, stderr_n_runs=se_n)
 
 
 def summary_to_json(summary: MonteCarloSummary) -> str:

@@ -443,7 +443,7 @@ def save_traces(table: TraceTable, sink: str | Path | IO[str]) -> None:
     tails = {
         key: ", ".join(["%d"] * (key // 2))
         + ('], "final": %d}\n' if key % 2 else '], "final": %d, "layer": %d}\n')
-        for key in np.unique(shape).tolist()
+        for key in np.flatnonzero(np.bincount(shape)).tolist()  # np.unique imports numpy.ma
     }
     kmax = table.topk.shape[1]
     for start in range(0, len(table), _ROW_BLOCK):

@@ -463,24 +463,48 @@ def _python(code: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_loads_no_process_machinery() -> None:
     # they cost ~20 ms at import, which every command would pay; orjson is for trace files only
-    out = _python("import sys, pipedec.cli; "
+    out = _python("import sys, pipedec.cli, pipedec.stochastic as s; "
+                  "from pipedec.core import DecodingConfig; "
+                  "s.monte_carlo(DecodingConfig(40, 20, 3, 256, 0.5), 2000, 1); "  # below the floor
                   "print([m for m in ('multiprocessing', 'concurrent.futures', 'orjson') "
                   "if m in sys.modules])").stdout
     assert out == "[]\n"
 
 
-@pytest.mark.parametrize("instances, cpus", [(10, None), (POOLED, {0})],
-                         ids=["one_chunk", "one_cpu"])
-def test_verify_without_two_chunks_and_two_cpus_starts_no_process(
-        instances, cpus, monkeypatch, capsys) -> None:
-    def no_fork():
-        raise AssertionError("verify started a process")
+def test_save_traces_loads_no_numpy_ma(tmp_path) -> None:
+    # np.unique imports numpy.ma, ~11 ms of a cold start
+    out = _python("import sys; from pipedec.trace import planted_trace, save_traces; "
+                  f"save_traces(planted_trace(0.5, 50, 2, seed=1), {str(tmp_path / 't.jsonl')!r}); "
+                  "print('numpy.ma' in sys.modules)").stdout
+    assert out == "False\n"
 
-    monkeypatch.setattr(os, "fork", no_fork)
+
+@pytest.mark.parametrize("instances, cpus", [(10, None), (POOLED, {0}), (POOLED, "missing")],
+                         ids=["one_chunk", "one_cpu", "no_affinity_call"])
+def test_verify_without_two_chunks_and_two_cpus_starts_no_process(
+        instances, cpus, no_fork, pin_cpus, capsys) -> None:
     if cpus is not None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        pin_cpus(cpus)
     assert main(["verify", "--instances", str(instances), "--seed", "5"]) == 0
     assert capsys.readouterr().out == _serial_verify(instances, 5)
+
+
+# 40 000 trials of 255 draws, above stochastic.POOL_DRAWS; the digest is of the serial output
+SIMULATE = ["simulate", "--d", "40", "--dbar", "20", "--k", "3", "--l", "256", "--p", "0.5",
+            "--trials", "40000", "--seed", "3"]
+SIMULATE_SHA256 = "a3b03d2fbd30d79666e967f52385356cb4505820973436ecdb86f18fac6c8bf0"
+
+
+@pytest.mark.parametrize("cpus, workers", [({0, 1}, 2), ({0, 1, 2}, 3), ({0}, 0),
+                                           ("missing", 0)],
+                         ids=["two_cpus", "three_cpus", "one_cpu", "no_affinity_call"])
+def test_simulate_above_the_floor_prints_the_pinned_bytes(
+        cpus, workers, forks, pin_cpus, capsys) -> None:
+    pin_cpus(cpus)
+    assert main(SIMULATE) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SIMULATE_SHA256
+    assert len(forks) == workers
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_zero_instances_is_usage_error(capsys) -> None:

@@ -42,6 +42,7 @@ def test_stream_keys_match_scalar_derivation() -> None:
     keys = stream_keys(123456789, 64)
     for i in range(64):
         assert int(keys[i]) == stream_key(123456789, i)
+    assert np.array_equal(stream_keys(123456789, 40, 24), keys[24:])  # streams 24..63
 
 
 def test_uniforms_are_deterministic_and_in_range() -> None:
@@ -138,6 +139,18 @@ def test_counter_hits_equals_the_counted_uniforms(case, data) -> None:
     drawn = float(u.flat[data.draw(st.integers(0, u.size - 1))]) if u.size else 0.5
     p = data.draw(st.sampled_from(_drawn_ps(u, drawn)))
     assert np.array_equal(counter_hits(keys, n, p), (u < p).sum(axis=1))
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, _MASK64), m=st.integers(0, 2 * W + 1),
+       cuts=st.lists(st.integers(0, 2 * W + 1), max_size=4), n=st.sampled_from((0, 1, J, 255)),
+       p=st.sampled_from((0.0, 0.6837, float(np.nextafter(1.0, 0.0)), 1.0)))
+def test_counter_hits_over_any_split_of_the_keys_equals_one_call(seed, m, cuts, n, p) -> None:
+    # monte_carlo's workers each count one contiguous run of trials, keyed from its first trial
+    bounds = [0, *sorted(min(c, m) for c in cuts), m]
+    runs = [counter_hits(stream_keys(seed, hi - lo, lo), n, p)
+            for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(runs), counter_hits(stream_keys(seed, m), n, p))
 
 
 # a lane word: the extremes, where carries are largest or absent, or any 64-bit word

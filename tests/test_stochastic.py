@@ -3,10 +3,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from pipedec import stochastic
 from pipedec.core import (
     DecodingConfig,
     DomainError,
@@ -230,3 +232,30 @@ def test_monte_carlo_equals_per_trial_path_across_blocks(ell: int) -> None:
 def test_summary_json_bytes_are_pinned(cfg, trials, seed, digest) -> None:
     text = summary_to_json(monte_carlo(DecodingConfig(*cfg), trials, seed))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# trials not divisible by the three workers, below them, one trial, one draw per trial, no draw
+@pytest.mark.parametrize("trials, ell", [(7, 9), (2, 9), (1, 9), (10_001, 2), (5, 1), (3001, 64)])
+@pytest.mark.parametrize("p", [0.0, 1.0, float(np.nextafter(1.0, 0.0)), 0.6837])
+def test_pooled_monte_carlo_equals_one_cpu(trials, ell, p, monkeypatch, pin_cpus, forks) -> None:
+    cfg = DecodingConfig(40, 24, 2, ell, p)
+    pin_cpus({0})
+    one_cpu = monte_carlo(cfg, trials, 13)
+    assert forks == []
+    monkeypatch.setattr(stochastic, "POOL_DRAWS", trials * (ell - 1))  # the work is the floor
+    pin_cpus({0, 1, 2})
+    assert monte_carlo(cfg, trials, 13) == one_cpu
+    # one worker per contiguous run of trials; one run stays in the calling process
+    assert len(forks) == (min(3, trials) if trials > 1 else 0)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("floor, cpus", [(None, None), (0, {0}), (0, "missing")],
+                         ids=["below_floor", "one_cpu", "no_affinity_call"])
+def test_monte_carlo_below_the_floor_or_on_one_cpu_starts_no_process(
+        floor, cpus, monkeypatch, pin_cpus, no_fork) -> None:
+    trials = (stochastic.POOL_DRAWS - 1) // 255  # the most 255-draw trials below the floor
+    if floor is not None:
+        monkeypatch.setattr(stochastic, "POOL_DRAWS", floor)
+        pin_cpus(cpus)
+    assert monte_carlo(DecodingConfig(40, 20, 3, 256, 0.5), trials, 2).trials == trials
