@@ -19,7 +19,11 @@ holds the machine, both revisions, each tree's ``src/**/*.py`` line
 count (``src_lines``), the seeds and, per workload and
 end-to-end metric, the per-pair values, each side's median and
 quartiles, the count of pairs the working tree won and a verdict against
-the metric's ``BENCHMARK.json`` bound (see ``summarize``).  The exit code
+the metric's ``BENCHMARK.json`` bound (see ``summarize``).  Per workload
+it also keeps the ``derived`` table of each run's result file
+(``perfbench-out/result-<workload>-seed<seed>-trace0.json``, read in the
+tree that ran it before the base worktree is removed): the raw stage
+times and reference kernel medians, per side and per pair.  The exit code
 is 0 when the record was written, whatever its verdict; 1 when a
 benchmark run failed, and 2 on a usage error.
 """
@@ -126,14 +130,17 @@ def _machine() -> dict:
                         if line.startswith("model name")), cpu)
     except OSError:
         pass
-    # nproc counts the host's CPUs; cpus_usable the ones this process may run on
-    return {"nproc": os.cpu_count(), "cpus_usable": len(os.sched_getaffinity(0)),
+    # nproc counts the host's CPUs; cpus_usable the ones this process may run on (all of
+    # them where the platform has no affinity call)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"nproc": os.cpu_count(), "cpus_usable": usable,
             "cpu_model": cpu, "platform": platform.platform(),
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
 def _run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``; its result line (correct, attempted, failed, metrics)."""
+    """One benchmark run in ``tree``: its result line (correct, attempted, failed, metrics)
+    and, as ``derived``, the values of the result file's ``derived`` table."""
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
@@ -142,7 +149,26 @@ def _run_once(command: list[str], tree: Path, workload: str, seed: int, seconds:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    path = tree / "perfbench-out" / f"result-{workload}-seed{seed}-trace0.json"
+    derived = json.loads(path.read_text(encoding="utf-8")).get("derived", {})
+    result["derived"] = {name: entry["value"] for name, entry in derived.items()}
+    return result
+
+
+def derived_values(runs: dict[str, list[dict]]) -> dict[str, dict]:
+    """Per ``derived`` name (raw stage times, reference kernel medians): each side's per-pair
+    values, None where a run lacks the name, and the median of the values present."""
+    names = sorted({name for rs in runs.values() for r in rs for name in r["derived"]})
+    table = {}
+    for name in names:
+        table[name] = {}
+        for side, rs in runs.items():
+            values = [r["derived"].get(name) for r in rs]
+            present = [v for v in values if v is not None]
+            table[name][side] = values
+            table[name][f"{side}_median"] = statistics.median(present) if present else None
+    return table
 
 
 def _workload_record(bench: dict, runs: dict[str, list[dict]]) -> dict:
@@ -154,7 +180,8 @@ def _workload_record(bench: dict, runs: dict[str, list[dict]]) -> dict:
         base, head = ([r["metrics"][m["name"]]["value"] for r in runs[side]]
                       for side in ("base", "head"))
         metrics[m["name"]] = summarize(base, head, m["better"], m["bound"])
-    return {"ops": ops, "metrics": metrics, **workload_verdict(metrics, ops["base"], ops["head"])}
+    return {"ops": ops, "metrics": metrics, "derived": derived_values(runs),
+            **workload_verdict(metrics, ops["base"], ops["head"])}
 
 
 def src_lines(tree: Path) -> int:

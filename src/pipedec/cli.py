@@ -12,6 +12,7 @@ import json
 import sys
 from contextlib import closing
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from . import analytic, mockmodel, schedule, stochastic, svgout, trace, workers
@@ -178,12 +179,12 @@ def cmd_matchrate(args: argparse.Namespace) -> int:
     return 0
 
 
-VERIFY_CHUNK = 50  # instances per task of verify's process pool
+VERIFY_CHUNK = 50  # instances per span of verify's process pool
 
 
-def _first_defect(lo: int, hi: int, seed: int) -> tuple[int, str] | None:
-    """The first (index, defect) among verify's instances lo..hi-1, or None if all are exact."""
-    for index in range(lo, hi):
+def _first_defect(seed: int, indices: range) -> tuple[int, str] | None:
+    """The first (index, defect) among verify's ``indices``, or None if all are exact."""
+    for index in indices:
         inst = mockmodel.random_instance(index, seed)
         defect = mockmodel.exactness_counterexample(inst)
         if defect is not None:
@@ -192,10 +193,9 @@ def _first_defect(lo: int, hi: int, seed: int) -> tuple[int, str] | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    lows = range(0, check_int("--instances", args.instances, 1), VERIFY_CHUNK)
-    highs = [min(lo + VERIFY_CHUNK, args.instances) for lo in lows]
-    # results come in chunk order, so the first defect seen has the lowest index
-    with closing(workers.map_chunks(_first_defect, lows, highs, args.seed)) as results:
+    n = check_int("--instances", args.instances, 1)
+    # results come in span order, so the first defect seen has the lowest index
+    with closing(workers.map_spans(partial(_first_defect, args.seed), n, VERIFY_CHUNK)) as results:
         for found in results:
             if found is not None:
                 index, defect = found

@@ -10,8 +10,8 @@ among trial i's ell-1 counter draws (the stream derived from (seed, i))
 and prices it with ``closed_form_totals``.  Trial i consumes the same
 draws as ``sample_match_sequence(Stream.from_seed(seed, i), ...)``, so
 the summary equals that per-trial path bit for bit.  From ``POOL_DRAWS``
-draws on, the trials are counted in one contiguous run per usable CPU
-(``workers.map_chunks``); a trial's count depends on its key alone.
+draws on, the trials are counted in one contiguous span per usable CPU
+(``workers.map_spans``); a trial's count depends on its key alone.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import DecodingConfig, MatchSequence, check_int, check_p, closed_form_totals, require_p
 from .rng import Stream, counter_hits, stream_keys
-from .workers import map_chunks, usable_cpus
+from .workers import map_spans, usable_cpus
 
 POOL_DRAWS = 1 << 23  # trials * (ell - 1) from which monte_carlo splits trials over the CPUs
 
@@ -62,9 +63,10 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
-def _hits(lo: int, hi: int, seed: int, n: int, p: float) -> np.ndarray:
+def _hits(seed: int, n: int, p: float, trials: range) -> np.ndarray:
     # the narrowest dtype for n: int64 results, unpickled in a pool's thread, grew the parent's RSS
-    return counter_hits(stream_keys(seed, hi - lo, lo), n, p).astype(np.min_scalar_type(n))
+    keys = stream_keys(seed, len(trials), trials.start)
+    return counter_hits(keys, n, p).astype(np.min_scalar_type(n))
 
 
 def monte_carlo(config: DecodingConfig, trials: int, seed: int) -> MonteCarloSummary:
@@ -78,10 +80,9 @@ def monte_carlo(config: DecodingConfig, trials: int, seed: int) -> MonteCarloSum
     p = require_p(config)
     trials = check_int("trials", trials, 1)
     ell, draws = config.ell, config.ell - 1
-    # one contiguous run of trials per CPU; N = 1 + the misses among the ell-1 draws
-    parts = min(usable_cpus(), trials) if trials * draws >= POOL_DRAWS else 1
-    bounds = [trials * i // parts for i in range(parts + 1)]
-    hits = map_chunks(_hits, bounds[:-1], bounds[1:], seed, draws, p)
+    # one contiguous span of trials per CPU; N = 1 + the misses among the ell-1 draws
+    span = -(-trials // usable_cpus()) if trials * draws >= POOL_DRAWS else trials
+    hits = map_spans(partial(_hits, seed, draws, p), trials, span)
     n_runs = ell - np.concatenate(list(hits), dtype=np.int64)
     latency, compute = closed_form_totals(config.d, config.d_bar, config.k, ell, n_runs)
     stats = [_mean_stderr(values.astype(np.float64)) for values in (latency, compute, n_runs)]

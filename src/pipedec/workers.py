@@ -1,8 +1,7 @@
-"""Contiguous chunks of work, run on every usable CPU in fork-started workers."""
+"""Contiguous spans of work, run on every usable CPU in fork-started workers."""
 
-import itertools
 import os
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 
 def usable_cpus() -> int:
@@ -11,23 +10,21 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if known else 1
 
 
-def map_chunks(fn: Callable, lows: Sequence[int], highs: Sequence[int], *args) -> Iterator:
-    """``fn(lo, hi, *args)`` per chunk, in order; forks min(CPUs, chunks) workers if both >= 2.
+def map_spans(task: Callable[[range], object], n: int, size: int) -> Iterator:
+    """``task(range(lo, min(lo + size, n)))`` for each ``lo`` in ``range(0, n, size)``, in order.
 
-    Closing or exhausting the iterator, or an error, cancels pending chunks and joins the workers.
+    With at least 2 spans and 2 usable CPUs, min(CPUs, spans) forked workers run them, fed as
+    the pool's pipe drains; exhausting or closing the iterator, or an error, terminates and
+    joins the workers.  Otherwise the spans run in the calling process.
     """
-    workers = min(usable_cpus(), len(lows))
-    repeats = [itertools.repeat(arg) for arg in args]
+    spans = (range(lo, min(lo + size, n)) for lo in range(0, n, size))
+    workers = min(usable_cpus(), -(-n // size))
     if workers < 2:
-        yield from map(fn, lows, highs, *repeats)
+        yield from map(task, spans)
         return
-    # imported here: at module level they would add ~20 ms to every command's start
+    # imported here: at module level it would add ~20 ms to every command's start
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     # fork, not spawn: workers start with pipedec imported (and patched as in the parent)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        yield from pool.map(fn, lows, highs, *repeats)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        yield from pool.imap(task, spans)

@@ -94,6 +94,26 @@ def test_machine_records_the_usable_cpus(monkeypatch) -> None:
     assert machine["nproc"] == os.cpu_count()
 
 
+def test_machine_without_an_affinity_call_counts_every_cpu(monkeypatch) -> None:
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert ab._machine()["cpus_usable"] == os.cpu_count()
+
+
+def test_derived_values_keep_each_side_and_pair() -> None:
+    runs = {"base": [{"derived": {"raw_stage1_s": 0.25, "reference_numpy_s": 0.5}},
+                     {"derived": {"raw_stage1_s": 0.75, "reference_numpy_s": 1.0}},
+                     {"derived": {"raw_stage1_s": 0.5}}],
+            "head": [{"derived": {"raw_stage1_s": 0.125}}, {"derived": {"raw_stage1_s": 1.5}},
+                     {"derived": {}}]}
+    assert ab.derived_values(runs) == {
+        "raw_stage1_s": {"base": [0.25, 0.75, 0.5], "base_median": 0.5,
+                         "head": [0.125, 1.5, None], "head_median": 0.8125},
+        "reference_numpy_s": {"base": [0.5, 1.0, None], "base_median": 0.75,
+                              "head": [None, None, None], "head_median": None},
+    }
+    assert ab.derived_values({"base": [], "head": []}) == {}
+
+
 def test_src_lines_counts_the_python_sources(tmp_path) -> None:
     (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
     (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")

@@ -454,6 +454,65 @@ def test_verify_domain_error_from_a_worker_is_a_usage_error(monkeypatch, capsys)
     assert multiprocessing.active_children() == []
 
 
+def test_verify_stops_the_workers_at_a_defect_in_the_first_span(
+        monkeypatch, pin_cpus, capsys) -> None:
+    pin_cpus({0, 1})
+    seed = 4
+    planted = mockmodel.random_instance(5, seed)
+    slow = mockmodel.random_instance(VERIFY_CHUNK + 1, seed)  # in the second span
+
+    def counterexample(inst):
+        # forked workers inherit this patch; the worker on the second span is still asleep
+        # when the first span's defect arrives, and is terminated, not waited for
+        if inst == slow:
+            time.sleep(5)
+        return "planted" if inst == planted else None
+
+    monkeypatch.setattr(mockmodel, "exactness_counterexample", counterexample)
+    start = time.perf_counter()
+    assert main(["verify", "--instances", str(POOLED), "--seed", str(seed)]) == 1
+    assert time.perf_counter() - start < 2.5
+    assert capsys.readouterr().out == f"FAIL at instance 5 (seed {seed}): planted\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_feeds_its_spans_lazily(monkeypatch, pin_cpus, capsys) -> None:
+    # 100 000 spans; a pool that made all of them before the first result took ~3.4 s here
+    pin_cpus({0, 1})
+    planted = mockmodel.random_instance(0, 0)
+    monkeypatch.setattr(mockmodel, "exactness_counterexample",
+                        lambda inst: "planted" if inst == planted else None)
+    start = time.perf_counter()
+    assert main(["verify", "--instances", "5000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "FAIL at instance 0 (seed 0): planted\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_reports_a_defect_before_a_later_domain_error(
+        monkeypatch, pin_cpus, capsys) -> None:
+    pin_cpus({0, 1})
+    seed = 7
+    defect = mockmodel.random_instance(VERIFY_CHUNK - 1, seed)
+    faulty = mockmodel.random_instance(VERIFY_CHUNK + 2, seed)  # in the next span
+
+    def counterexample(inst):
+        # forked workers inherit this patch; the fault is raised before the defect is found
+        if inst == faulty:
+            raise DomainError("planted fault")
+        if inst == defect:
+            time.sleep(0.5)
+            return "planted"
+        return None
+
+    monkeypatch.setattr(mockmodel, "exactness_counterexample", counterexample)
+    assert main(["verify", "--instances", str(POOLED), "--seed", str(seed)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (_serial_verify(POOLED, seed), "")
+    assert captured.out == f"FAIL at instance {VERIFY_CHUNK - 1} (seed {seed}): planted\n"
+    assert multiprocessing.active_children() == []
+
+
 def _python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(pipedec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -505,6 +564,15 @@ def test_simulate_above_the_floor_prints_the_pinned_bytes(
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SIMULATE_SHA256
     assert len(forks) == workers
     assert multiprocessing.active_children() == []
+
+
+def test_pooled_simulate_loads_no_concurrent_futures() -> None:
+    out = _python("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                  f"from pipedec.cli import main; main({SIMULATE!r}); "
+                  "print([m for m in ('multiprocessing', 'concurrent.futures') "
+                  "if m in sys.modules])").stdout
+    assert hashlib.sha256(out[:out.rindex("[")].encode()).hexdigest() == SIMULATE_SHA256
+    assert out.endswith("\n['multiprocessing']\n")  # the pool ran, without concurrent.futures
 
 
 def test_verify_zero_instances_is_usage_error(capsys) -> None:
