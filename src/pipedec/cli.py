@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 property/identity failure, 2 usage or
-validation error.  Every command is deterministic given its flags, so
-outputs are stable byte streams.
+Exit codes: 0 success, 1 property/identity failure or a lost worker
+process, 2 usage or validation error.  Every command is deterministic
+given its flags, so outputs are stable byte streams.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DomainError, OSError) as exc:  # trace.ParseError is a DomainError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ChildProcessError) else 2  # ChildProcessError: from workers
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def _hits(seed: int, n: int, p: float, trials: range) -> np.ndarray:
-    # the narrowest dtype for n: int64 results, unpickled in a pool's thread, grew the parent's RSS
+    # the narrowest dtype for n: int64 results, unpickled in the caller, grew its peak RSS
     keys = stream_keys(seed, len(trials), trials.start)
     return counter_hits(keys, n, p).astype(np.min_scalar_type(n))
 

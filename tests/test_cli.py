@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -510,6 +511,25 @@ def test_verify_reports_a_defect_before_a_later_domain_error(
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (_serial_verify(POOLED, seed), "")
     assert captured.out == f"FAIL at instance {VERIFY_CHUNK - 1} (seed {seed}): planted\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_reports_a_killed_worker_and_exits(monkeypatch, pin_cpus, capsys) -> None:
+    # the OOM killer's signal, sent by the worker on span 1 of 4 to itself
+    pin_cpus({0, 1})
+    victim = mockmodel.random_instance(VERIFY_CHUNK, 0)
+
+    def counterexample(inst):
+        if inst == victim:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return None
+
+    monkeypatch.setattr(mockmodel, "exactness_counterexample", counterexample)
+    start = time.perf_counter()
+    assert main(["verify", "--instances", str(4 * VERIFY_CHUNK)]) == 1
+    assert time.perf_counter() - start < 2.5
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: a worker process ended with exit code -9\n")
     assert multiprocessing.active_children() == []
 
 
