@@ -18,7 +18,9 @@ def _serve(task: Callable[[range], object], conn) -> None:
         try:
             conn.send((True, task(span)))
         except Exception as exc:  # raised in the calling process when the span's turn comes
-            conn.send((False, exc))
+            from multiprocessing.pool import ExceptionWithTraceback  # keeps the worker's traceback
+
+            conn.send((False, ExceptionWithTraceback(exc, exc.__traceback__)))
 
 
 def map_spans(task: Callable[[range], object], n: int, size: int) -> Iterator:

@@ -55,6 +55,19 @@ def test_spans_that_finish_out_of_order_come_back_in_order(pin_cpus) -> None:
     assert multiprocessing.active_children() == []
 
 
+def test_an_error_in_a_span_carries_the_worker_traceback(pin_cpus) -> None:
+    pin_cpus({0, 1})
+
+    def task(span: range) -> list[int]:
+        if span.start == 1:
+            raise ValueError("planted")
+        return list(span)
+
+    with pytest.raises(ValueError, match="planted") as raised:
+        list(map_spans(task, 3, 1))
+    assert 'raise ValueError("planted")' in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+
 def test_a_worker_killed_while_idle_raises(pin_cpus, tmp_path) -> None:
     pin_cpus({0, 1})
     pid_file = tmp_path / "pid"
