@@ -10,10 +10,15 @@ and then altered as its row says.  A row gives the minimum CPU seconds
 shape that ends in a fault counts until its ParseError.  CPU time leaves
 out the time the process waits for a core, but the machine's speed still
 drifts, so compare two checkouts by running them in turn, more than once.
+A row also gives the cyclic garbage collections that start during a load,
+averaged over the loads and counted by a ``gc.callbacks`` hook, which
+changes no collector state: a loader that keeps enough containers alive
+at once to cross the gen-0 threshold shows there for every shape.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import tempfile
 import time
@@ -54,18 +59,29 @@ def main() -> None:
         save_traces(planted_trace(0.6837, N_LINES, 3, 0, 16, 1000, 20), path)
         planted = path.read_text().splitlines(keepends=True)
         print(f"load_traces of {N_LINES} lines, pipedec from {src}")
-        print(f"| trace | CPU s, min of {LOADS} loads |\n| --- | --- |")
+        print(f"| trace | CPU s, min of {LOADS} loads | collections per load |\n"
+              "| --- | --- | --- |")
+        collections = []
+
+        def count(phase: str, info: dict) -> None:
+            if phase == "start":
+                collections.append(info["generation"])
+
         for shape, alter in SHAPES.items():
             path.write_text("".join(alter(planted)))
             times = []
+            collections.clear()
             for _ in range(LOADS):
+                gc.callbacks.append(count)
                 start = time.process_time()
                 try:
                     load_traces(path)
                 except ParseError:
                     pass
-                times.append(time.process_time() - start)
-            print(f"| {shape} | {min(times):.3f} |")
+                finally:
+                    times.append(time.process_time() - start)
+                    gc.callbacks.remove(count)
+            print(f"| {shape} | {min(times):.3f} | {len(collections) / LOADS:.1f} |")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -532,7 +533,7 @@ def test_lone_surrogate_in_a_stream_reports_its_byte_offset() -> None:
 
 # ----------------------------------------------------- files longer than one block
 
-BLOCK = tracetable._ROW_BLOCK
+BLOCK = tracetable._LINE_BLOCK
 
 
 def _planted_lines(n: int) -> list[str]:
@@ -662,3 +663,28 @@ def test_blank_lines_and_crlf_endings_inside_a_block(monkeypatch) -> None:
     text += "{}\n"
     expected_fault = (len(lines) + 1, "missing field 'example_id'")
     assert _outcome(text) == expected_fault == _stdlib_outcome(monkeypatch, text)
+
+
+@pytest.mark.parametrize("declined", [False, True], ids=["fast_parse", "stdlib_decoder"])
+def test_load_runs_at_most_two_garbage_collections(declined) -> None:
+    # a block's orjson dicts and early_topk lists, or its stdlib rows, die before they reach
+    # the gen-0 threshold; the count is taken with a callback, and the collector's own state
+    # is left alone.  An escaped quote on one line in 200 sends every block to the stdlib.
+    lines = _planted_lines(20_000)
+    if declined:
+        lines[::200] = [s.replace('"example_id": "', '"example_id": "\\"') for s in lines[::200]]
+    text = "".join(lines)
+    collections = []
+
+    def hook(phase: str, info: dict) -> None:
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        table = load_traces(io.StringIO(text))
+    finally:
+        gc.callbacks.remove(hook)
+    assert len(table) == 20_000
+    assert any('"' in s for s in table.example_ids) == declined
+    assert len(collections) <= 2, collections

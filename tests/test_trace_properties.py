@@ -262,7 +262,7 @@ def test_fast_parse_equals_the_stdlib_decoder(lines: list[str]) -> None:
     texts = ["\n".join(lines) + "\n"] + [line + "\n" for line in lines]
     with pytest.MonkeyPatch.context() as patch:
         # blocks of three lines, so that a file of up to six crosses a block boundary
-        patch.setattr(tracetable, "_ROW_BLOCK", 3)
+        patch.setattr(tracetable, "_LINE_BLOCK", 3)
         shipped = [_outcome(text) for text in texts]
         # the stdlib-only loader: the fast parse declines every block and every line
         patch.setattr(tracetable, "_fast_parse", lambda lines, objs: None)
