@@ -31,7 +31,7 @@ from .core import DomainError
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 # rows per block of save_traces: it formats this many rows at a time, which bounds the memory
-# their Python values take (a 256-row writer block was 9 % slower)
+# their Python values take (256-row blocks made it ~8 % slower)
 _ROW_BLOCK = 4096
 # lines per block of load_traces: each line keeps two tracked containers, its orjson dict and
 # its early_topk list, alive until its block becomes numpy columns, so 256 lines stay below
