@@ -96,22 +96,37 @@ def _layer_keys(model: MockModel) -> tuple[int, ...]:
     return golden_keys(mix64(base ^ j) for j in range(1, model.depth + 1))
 
 
+def _classifier(model: MockModel):
+    """Both classifiers: ``classify(hidden, z, t)`` writes mix64(h ^ base ^ id) to ``z[i, id]``
+    for the i-th h of the uint64 column ``hidden`` (shape (n, 1)) and every id, and returns z.
+
+    ``z`` is uint64 of shape (n, V) and ``t`` scratch like it; ``base ^ id`` is made once.
+    """
+    words = np.arange(model.vocab_size, dtype=np.uint64) ^ np.uint64(
+        mix64((model.seed & _MASK64) ^ _SCORE_TAG))
+
+    def classify(hidden: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return mix64_finalize(np.add(np.bitwise_xor(hidden, words, out=z), GOLDEN, out=z), t)
+
+    return classify
+
+
 def _scorer(model: MockModel):
     """Both classifiers' scoring: one or two hidden values to that many rows of uint64 scores.
 
-    A call mixes its rows in place in a (2, V) buffer made once per scorer (per decode) and
+    A call scores its rows in place in a (2, V) buffer made once per scorer (per decode) and
     returns views of them, valid until the next call.
     """
-    ids = np.arange(model.vocab_size, dtype=np.uint64)
-    base = mix64((model.seed & _MASK64) ^ _SCORE_TAG)
+    classify = _classifier(model)
     buf, tmp = np.empty((2, 2, model.vocab_size), np.uint64)  # the score rows and their scratch
-    rows, views = tuple(buf), ((buf[:1], tmp[:1]), (buf, tmp))  # views[n - 1]: n rows
+    hidden = np.empty((2, 1), np.uint64)
+    views = tuple((hidden[:n], buf[:n], tmp[:n]) for n in (1, 2))  # views[n - 1]: n rows
 
     def scores(*hidden_values: int) -> np.ndarray:
-        for row, h in zip(rows, hidden_values):
-            np.bitwise_xor(ids, h ^ base, out=row)
-        z, t = views[len(hidden_values) - 1]
-        return mix64_finalize(np.add(z, GOLDEN, out=z), t)
+        column, z, t = views[len(hidden_values) - 1]
+        for i, h in enumerate(hidden_values):
+            column[i, 0] = h
+        return classify(column, z, t)
 
     return scores
 
@@ -145,6 +160,26 @@ def _bias_bits(model: MockModel, first: int, n: int) -> list[bool]:
         return [True] * n
     key = mix64((model.seed & _MASK64) ^ _BIAS_TAG)
     return (mix64_np(np.arange(first, first + n, dtype=np.uint64) ^ key) < threshold).tolist()
+
+
+def greedy_next(model: MockModel, prompt: Sequence[int], tokens: Sequence[int]) -> np.ndarray:
+    """The greedy token after ``prompt + tokens[:t]`` for each t < len(tokens), in one pass.
+
+    The tokens are folded into their positions' prefix digests as ``decode_sequential`` folds
+    them, the d layers run on all positions at once as the lanes of one integer
+    (``rng.mix64_lanes``), and one (n, V) pass scores every position.
+    """
+    n = len(tokens)
+    digests = [prefix_digest(model, prompt)]
+    for tok in tokens[: n - 1]:
+        digests.append(extend_digest(model, digests[-1], tok))
+    spread, packed = pack_lanes([1] * n), pack_lanes(digests)
+    states = mix64_lanes([key * spread for key in _layer_keys(model)], packed, packed,
+                         pack_lanes([_MASK64] * n))
+    # a 128-bit lane is two little-endian 64-bit words: its state, then the zero carry bits
+    hidden = np.frombuffer(states.to_bytes(16 * n, "little"), "<u8")[::2, None]
+    z = np.empty((n, model.vocab_size), np.uint64)
+    return _classifier(model)(hidden, z, np.empty_like(z)).argmax(axis=1)
 
 
 def decode_sequential(model: MockModel, prompt: Sequence[int], ell: int) -> DecodeResult:
@@ -310,14 +345,21 @@ def random_instance(index: int, seed: int) -> PpdInstance:
 
 
 def exactness_counterexample(inst: PpdInstance) -> str | None:
-    """Run one instance both ways; return a description of the first defect, if any.
+    """Decode one instance pipelined and check it; return a description of its first defect.
 
-    Checks token equality against the sequential decoder and the
-    main-process work identity d_bar*ell + (d-d_bar)*N.
+    By induction on t, the pipelined tokens equal the greedy ones exactly when each of them is
+    the greedy token after the prompt and the tokens before it (one ``greedy_next`` pass), no
+    EOS comes before the last of them (EOS enabled), and there are ``ell`` of them or (EOS
+    enabled) fewer, the last an EOS.  Only a rollout that fails this is decoded sequentially,
+    for the message.  Then the main-process work identity d_bar*ell + (d-d_bar)*N and the
+    speculative count are checked.
     """
-    seq = decode_sequential(inst.model, inst.prompt, inst.ell)
     ppd = decode_ppd(inst.model, inst.prompt, inst.ell, inst.d_bar, inst.k)
-    if seq.tokens != ppd.tokens:
+    tokens, n, eos = ppd.tokens, len(ppd.tokens), inst.model.eos_enabled
+    stops = n == inst.ell or (eos and n < inst.ell and tokens[-1:] == (EOS_TOKEN,))
+    if not stops or (eos and EOS_TOKEN in tokens[:-1]) or (
+            greedy_next(inst.model, inst.prompt, tokens).tolist() != list(tokens)):
+        seq = decode_sequential(inst.model, inst.prompt, inst.ell)
         return f"token mismatch: sequential={seq.tokens} pipelined={ppd.tokens} on {inst}"
     ell_gen = len(ppd.tokens)
     n_runs = ppd.match_trace.n_runs

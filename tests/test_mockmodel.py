@@ -5,6 +5,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pipedec import mockmodel
 from pipedec.core import DomainError, MatchSequence
 from pipedec.mockmodel import (
     _BIAS_TAG,
@@ -25,11 +27,13 @@ from pipedec.mockmodel import (
     EOS_TOKEN,
     DecodeResult,
     MockModel,
+    PpdInstance,
     decode_ppd,
     decode_sequential,
     emit_trace,
     exactness_counterexample,
     extend_digest,
+    greedy_next,
     prefix_digest,
     random_instance,
 )
@@ -179,6 +183,70 @@ def test_pipelined_equals_sequential_on_random_instances() -> None:
     for index in range(150):
         inst = random_instance(index, seed=424242)
         assert exactness_counterexample(inst) is None
+
+
+# a rollout with EOS handling off, and one that stops at an EOS as its fourth token
+PLAIN_INSTANCE = PpdInstance(MockModel(16, 8, 5, bias=0.5), (1, 2), 12, 6, 3)
+EOS_INSTANCE = PpdInstance(MockModel(4, 8, 5, eos_enabled=True), (1,), 32, 6, 2)
+
+
+def exact_rollout(inst: PpdInstance) -> DecodeResult:
+    return decode_ppd(inst.model, inst.prompt, inst.ell, inst.d_bar, inst.k)
+
+
+def ignoring_eos(inst: PpdInstance) -> tuple[int, ...]:
+    """The greedy rollout of ``inst`` with EOS handling off: it runs on to ell tokens."""
+    return decode_sequential(replace(inst.model, eos_enabled=False), inst.prompt, inst.ell).tokens
+
+
+# (instance, the exact pipelined tokens -> the defect's tokens); the last two runs are greedy
+# in every token and wrong only in where they stop
+TOKEN_DEFECTS = {
+    "first_token_flipped": (PLAIN_INSTANCE, lambda t: ((t[0] + 1) % 16,) + t[1:]),
+    "the_only_token_flipped": (replace(PLAIN_INSTANCE, ell=1), lambda t: ((t[0] + 1) % 16,)),
+    "last_token_flipped": (PLAIN_INSTANCE, lambda t: t[:-1] + ((t[-1] + 1) % 16,)),
+    "stops_one_early_without_eos": (PLAIN_INSTANCE, lambda t: t[:-1]),
+    "drops_the_final_eos": (EOS_INSTANCE, lambda t: t[:-1]),
+    "runs_past_the_eos": (EOS_INSTANCE, lambda t: ignoring_eos(EOS_INSTANCE)),
+    "runs_past_ell_to_an_eos": (replace(EOS_INSTANCE, ell=3),
+                                lambda t: exact_rollout(EOS_INSTANCE).tokens),
+}
+
+
+def test_the_defect_instances_are_exact() -> None:
+    for inst, _ in TOKEN_DEFECTS.values():
+        assert exactness_counterexample(inst) is None
+    assert len(exact_rollout(PLAIN_INSTANCE).tokens) == PLAIN_INSTANCE.ell
+    eos_tokens = exact_rollout(EOS_INSTANCE).tokens
+    assert len(eos_tokens) == 4 and eos_tokens[-1] == EOS_TOKEN
+
+
+@pytest.mark.parametrize("defect", list(TOKEN_DEFECTS))
+def test_a_token_defect_is_reported_with_both_rollouts(defect, monkeypatch) -> None:
+    inst, bend = TOKEN_DEFECTS[defect]
+    exact = exact_rollout(inst)
+    bent = bend(exact.tokens)
+    monkeypatch.setattr(mockmodel, "decode_ppd", lambda *args: replace(exact, tokens=bent))
+    assert exactness_counterexample(inst) == (
+        f"token mismatch: sequential={exact.tokens} pipelined={bent} on {inst}"
+    )
+
+
+@pytest.mark.parametrize("counts", [("main_layer_count",), ("spec_layer_count",),
+                                    ("main_layer_count", "spec_layer_count")])
+def test_a_layer_count_off_by_one_is_reported(counts, monkeypatch) -> None:
+    exact = exact_rollout(PLAIN_INSTANCE)
+    bent = replace(exact, **{name: getattr(exact, name) + 1 for name in counts})
+    monkeypatch.setattr(mockmodel, "decode_ppd", lambda *args: bent)
+    if "main_layer_count" in counts:  # the main count is checked first
+        expected = (
+            f"main layer count {bent.main_layer_count} != {exact.main_layer_count} "
+            f"(ell_gen={len(exact.tokens)}, n_runs={exact.match_trace.n_runs}) "
+            f"on {PLAIN_INSTANCE}"
+        )
+    else:
+        expected = f"speculative layer count {bent.spec_layer_count} wrong on {PLAIN_INSTANCE}"
+    assert exactness_counterexample(PLAIN_INSTANCE) == expected
 
 
 def test_speculating_whole_vocab_always_matches() -> None:
@@ -439,6 +507,36 @@ def test_pipelined_tokens_equal_greedy_tokens(case) -> None:
     assert decode_ppd(model, prompt, ell, d_bar, k).tokens == (
         decode_sequential(model, prompt, ell).tokens
     )
+
+
+@st.composite
+def greedy_next_cases(draw):
+    """A model, a prompt and any 1 to 300 tokens of its vocabulary, EOS included."""
+    vocab = draw(st.integers(2, 64))
+    model = MockModel(vocab, draw(st.integers(1, 64)), draw(st.integers(0, _MASK64)))
+    ids = st.integers(0, vocab - 1)
+    n = draw(st.integers(1, 300))  # drawn first, so that most lists are long
+    return model, draw(st.lists(ids, max_size=4)), draw(st.lists(ids, min_size=n, max_size=n))
+
+
+@settings(max_examples=40)
+@example(case=(MockModel(2, 1, 0), [], [0]))
+@example(case=(MockModel(64, 64, _MASK64), [63, 0], [i % 64 for i in range(300)]))
+@example(case=(MockModel(1024, 40, 20261018), [5, 9], [0, 1023] * 24))
+@given(case=greedy_next_cases())
+def test_greedy_next_is_one_greedy_step_after_each_prefix(case) -> None:
+    # entry t is the greedy token after prompt + tokens[:t], whatever the tokens are
+    model, prompt, tokens = case
+    assert greedy_next(model, prompt, tokens).tolist() == [
+        decode_sequential(model, prompt + tokens[:t], 1).tokens[0] for t in range(len(tokens))
+    ]
+
+
+def test_greedy_next_reproduces_each_greedy_rollout() -> None:
+    for index in range(100):
+        inst = random_instance(index, seed=7)
+        tokens = decode_sequential(inst.model, inst.prompt, inst.ell).tokens
+        assert greedy_next(inst.model, inst.prompt, tokens).tolist() == list(tokens)
 
 
 @settings(max_examples=60)
