@@ -114,7 +114,7 @@ def _classifier(model: MockModel):
 def _scorer(model: MockModel):
     """Both classifiers' scoring: one or two hidden values to that many rows of uint64 scores.
 
-    A call scores its rows in place in a (2, V) buffer made once per scorer (per decode) and
+    A call mixes its rows in place in a (2, V) buffer made once per scorer (per decode) and
     returns views of them, valid until the next call.
     """
     classify = _classifier(model)

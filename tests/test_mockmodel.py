@@ -532,13 +532,6 @@ def test_greedy_next_is_one_greedy_step_after_each_prefix(case) -> None:
     ]
 
 
-def test_greedy_next_reproduces_each_greedy_rollout() -> None:
-    for index in range(100):
-        inst = random_instance(index, seed=7)
-        tokens = decode_sequential(inst.model, inst.prompt, inst.ell).tokens
-        assert greedy_next(inst.model, inst.prompt, tokens).tolist() == list(tokens)
-
-
 @settings(max_examples=60)
 @with_edge_cases
 @given(case=ppd_cases())
