@@ -355,13 +355,12 @@ def exactness_counterexample(inst: PpdInstance) -> str | None:
     speculative count are checked.
     """
     ppd = decode_ppd(inst.model, inst.prompt, inst.ell, inst.d_bar, inst.k)
-    tokens, n, eos = ppd.tokens, len(ppd.tokens), inst.model.eos_enabled
-    stops = n == inst.ell or (eos and n < inst.ell and tokens[-1:] == (EOS_TOKEN,))
+    tokens, ell_gen, eos = ppd.tokens, len(ppd.tokens), inst.model.eos_enabled
+    stops = ell_gen == inst.ell or (eos and ell_gen < inst.ell and tokens[-1:] == (EOS_TOKEN,))
     if not stops or (eos and EOS_TOKEN in tokens[:-1]) or (
             greedy_next(inst.model, inst.prompt, tokens).tolist() != list(tokens)):
         seq = decode_sequential(inst.model, inst.prompt, inst.ell)
         return f"token mismatch: sequential={seq.tokens} pipelined={ppd.tokens} on {inst}"
-    ell_gen = len(ppd.tokens)
     n_runs = ppd.match_trace.n_runs
     expected_main, expected_total = closed_form_totals(
         inst.model.depth, inst.d_bar, inst.k, ell_gen, n_runs
