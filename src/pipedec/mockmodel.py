@@ -27,7 +27,7 @@ import numpy as np
 from .core import DecodingConfig, DomainError, MatchSequence, check_int, check_p
 from .core import closed_form_totals
 from .rng import (
-    GOLDEN, LANE_BITS, golden_keys, mix64, mix64_chain, mix64_finalize, mix64_lanes, mix64_np,
+    GOLDEN, LANE_BITS, mix64, mix64_chain, mix64_finalize, mix64_lanes, mix64_np,
     pack_lanes, stream_key,
 )
 from .tracetable import TraceTable
@@ -87,13 +87,14 @@ def extend_digest(model: MockModel, digest: int, token: int) -> int:
     return mix64(digest ^ (token & _MASK64))
 
 
-def _layer_keys(model: MockModel) -> tuple[int, ...]:
+def _layer_keys(model: MockModel) -> list[int]:
     """Layer j's key at index j-1, for ``rng.mix64_chain``: layers lo..hi are ``keys[lo-1:hi]``.
 
-    Layer j maps state h under context digest c to ``mix64((h + mix64(base ^ j) + c) mod 2**64)``.
+    Layer j maps state h under context digest c to ``mix64((h + mix64(base ^ j) + c) mod 2**64)``;
+    its key is ``mix64(base ^ j) + GOLDEN`` (mod 2**64), mix64's leading add folded in.
     """
     base = mix64((model.seed & _MASK64) ^ _LAYER_TAG)
-    return golden_keys(mix64(base ^ j) for j in range(1, model.depth + 1))
+    return (mix64_np(np.arange(1, model.depth + 1, dtype=np.uint64) ^ base) + GOLDEN).tolist()
 
 
 def _classifier(model: MockModel):

@@ -50,13 +50,8 @@ def mix64_finalize(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def golden_keys(words: Iterable[int]) -> tuple[int, ...]:
-    """``mix64_chain``'s keys: each word with mix64's leading ``+GOLDEN`` added in."""
-    return tuple((w + GOLDEN) & _MASK64 for w in words)
-
-
 def mix64_chain(keys: Sequence[int], value: int, addend: int) -> int:
-    """``value = mix64(value + word + addend)`` for each word of ``golden_keys(words)``.
+    """``value = mix64(value + word + addend)`` for each ``key = (word + GOLDEN) mod 2**64``.
 
     The add of mix64 is already in the key, and its finalizer is written
     out in the loop in mix64's order, so a step makes no Python call.

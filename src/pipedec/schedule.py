@@ -131,8 +131,8 @@ def verify_identities(timeline: ScheduleTimeline) -> IdentityReport:
     cfg = timeline.config
     n = timeline.matches.n_runs
     latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, n)
-    occupied = int(occupancy_profile(timeline).sum())
     events = timeline.events
+    occupied = int(np.sum(events.t_end - events.t_start))  # occupancy_profile's sum
 
     # per process in start order, an event that starts before its
     # predecessor ends overlaps it
@@ -164,30 +164,36 @@ def events_to_csv(timeline: ScheduleTimeline) -> str:
 
     def template(i: int) -> str:
         pid, _, layer_start, layer_end, _, _, discarded = events[i].tolist()
-        return f"{pid},%d,{layer_start},{layer_end},%d,%d,{'true' if discarded else 'false'}\n"
+        return f"{pid},%d,{layer_start},{layer_end},%d,%d,{'true' if discarded else 'false'}"
 
     rows = svgout.fill_rows(shape, template, [events.token_index, events.t_start, events.t_end])
-    return EVENTS_CSV_HEADER + "\n" + rows
+    return "\n".join([EVENTS_CSV_HEADER, *rows, ""])
 
 
 def text_gantt(timeline: ScheduleTimeline) -> str:
     """One row per process, one character per time unit.
 
-    '#' = busy, 'x' = busy on later-discarded work, '.' = idle.
+    '#' = busy, 'x' = busy on later-discarded work, '.' = idle.  The rows are
+    one flat grid, painted by one ``np.repeat`` of the idle gaps and events
+    in (process, start) order over their run lengths.
     """
     k, span, events = timeline.config.k, timeline.makespan, timeline.events
-    # the flat (process, t) index of every time unit of every event, in event order
-    units = events.t_end - events.t_start
-    shift = events.process_id * span + events.t_start - (np.cumsum(units) - units)
-    grid = np.full((k + 1) * span, ord("."), dtype=np.uint8)
-    grid[np.repeat(shift, units) + np.arange(units.sum())] = np.repeat(
-        np.where(events.discarded, ord("x"), ord("#")), units)
+    if not np.all((0 <= events.t_start) & (events.t_start <= events.t_end)
+                  & (events.t_end <= span)):
+        raise DomainError(f"every event needs 0 <= t_start <= t_end <= makespan = {span}")
+    order = np.lexsort((events.t_start, events.process_id))
+    flat = events.process_id[order] * span
+    bounds = np.column_stack((flat + events.t_start[order], flat + events.t_end[order])).ravel()
+    runs = np.diff(bounds, prepend=0, append=(k + 1) * span)  # gap, event, gap, ..., gap
+    if runs.min() < 0:
+        raise DomainError("events of one process overlap, or a process id is outside 0..k")
+    codes = np.full(len(runs), ord("."), dtype=np.uint8)
+    codes[1::2] = np.where(events.discarded[order], ord("x"), ord("#"))
+    grid = np.repeat(codes, runs)
     ruler = ("|" + " " * 9) * (span // 10 + 1)
-    lines = [f"{'t':>4} {ruler[:span]}"]
-    for pid in range(k + 1):
-        lines.append(f"P{pid:<3} {grid[pid * span:(pid + 1) * span].tobytes().decode()}")
-    lines.append(f"makespan {span}")
-    return "\n".join(lines) + "\n"
+    rows = [f"P{pid:<3} {str(grid[pid * span:(pid + 1) * span].data, 'ascii')}"
+            for pid in range(k + 1)]
+    return "\n".join([f"{'t':>4} {ruler[:span]}", *rows, f"makespan {span}", ""])
 
 
 PX_PER_UNIT = 8  # SVG width of one time unit
@@ -207,7 +213,7 @@ def svg_gantt(timeline: ScheduleTimeline) -> str:
         body.append(svgout.text(6, y + ROW_HEIGHT - 6, f"P{pid}", size=11))
     events = timeline.events
     pid = events.process_id
-    body.append(svgout.int_rects(
+    body.extend(svgout.int_rects(
         left + events.t_start * PX_PER_UNIT,
         top + pid * ROW_HEIGHT + 2,
         (events.t_end - events.t_start) * PX_PER_UNIT,

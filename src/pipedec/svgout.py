@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+_ROW_BLOCK = 4096  # rows per % fill in fill_rows: one block's cells are Python ints at a time
 SERIES_COLORS = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377", "#bbbbbb")
 
 
@@ -12,7 +13,7 @@ def document(width: int, height: int, body: list[str]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return "\n".join([head, *body, "</svg>", ""])
 
 
 def rect(x: float, y: float, w: float, h: float, fill: str) -> str:
@@ -22,23 +23,27 @@ def rect(x: float, y: float, w: float, h: float, fill: str) -> str:
     )
 
 
-def fill_rows(key: np.ndarray, template, columns: list[np.ndarray]) -> str:
-    """All rows, in order, as one ``%`` fill of the integer ``columns``: row i's format is
-    ``template(j)``, built once per distinct integer ``key`` from j, the first row of key[i].
+def fill_rows(key: np.ndarray, template, columns: list[np.ndarray]) -> list[str]:
+    """All rows, in order, in blocks of ``_ROW_BLOCK`` newline-joined rows, so that
+    ``"\\n".join(blocks)`` is every row.  A block is one ``%`` fill of its cells of the
+    integer ``columns``: row i's format is ``template(j)``, built once per distinct integer
+    ``key`` from j, the first row of key[i].
     """
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     templates = [template(i) for i in first.tolist()]
-    cells = np.column_stack(columns).ravel().tolist()
-    return "".join(map(templates.__getitem__, inverse.tolist())) % tuple(cells)
+    cells = np.column_stack(columns)
+    blocks = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(key), _ROW_BLOCK)]
+    return ["\n".join(map(templates.__getitem__, inverse[rows].tolist()))
+            % tuple(cells[rows].ravel().tolist()) for rows in blocks]
 
 
 def int_rects(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray, h: int,
-              fills: np.ndarray, palette: tuple[str, ...]) -> str:
-    """White-edged rects, a line each; "%d.0" of an int x is f"{x:.1f}", and x is all that
-    varies within a (y, w, fill) shape."""
+              fills: np.ndarray, palette: tuple[str, ...]) -> list[str]:
+    """White-edged rects, a line each, in ``fill_rows`` blocks; "%d.0" of an int x is
+    f"{x:.1f}", and x is all that varies within a (y, w, fill) shape."""
     key = (ys * (int(ws.max(initial=0)) + 1) + ws) * len(palette) + fills
     return fill_rows(key, lambda i: f'<rect x="%d.0" y="{ys[i]}.0" width="{ws[i]}.0" '
-                     f'height="{h}.0" fill="{palette[fills[i]]}" stroke="#ffffff"/>\n', [xs])[:-1]
+                     f'height="{h}.0" fill="{palette[fills[i]]}" stroke="#ffffff"/>', [xs])
 
 
 def line(x1: float, y1: float, x2: float, y2: float, stroke: str = "#333333") -> str:

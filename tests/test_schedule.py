@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +22,7 @@ from pipedec.core import (
 from pipedec.rng import Stream
 from pipedec.schedule import (
     EVENTS_CSV_HEADER,
+    ScheduleTimeline,
     build_schedule,
     events_to_csv,
     identity_report_to_json,
@@ -79,6 +81,16 @@ def test_identities_flag_overlapping_and_idle_events() -> None:
     events = events[np.arange(len(events)) != 5]  # the main process idles at t 40..60
     report = verify_identities(replace(timeline, events=events))
     assert (report.overlap_violations, report.main_idle_units) == (1, 20)
+    assert not report.ok
+
+
+def test_identities_report_an_event_past_the_makespan() -> None:
+    timeline = build_schedule(FIXTURE, FIXTURE_MATCHES)
+    events = timeline.events.copy()
+    assert events[-1].tolist() == (3, 4, 1, 10, 90, 100, True)  # the last speculation window
+    events.t_end[-1] = 105  # ends 5 units past the makespan of 100
+    report = verify_identities(replace(timeline, events=events))
+    assert (report.makespan, report.compute_residual) == (100, 5)
     assert not report.ok
 
 
@@ -196,6 +208,26 @@ def test_text_gantt_layout() -> None:
     assert len(main_row) == timeline.makespan
     assert "." not in main_row  # the main process is never idle
     assert "x" in lines[2]  # some sub-process work is discarded
+
+
+def _edited(row: int, **fields) -> ScheduleTimeline:
+    """The fixture's timeline with the given fields of event ``row`` changed."""
+    timeline = build_schedule(FIXTURE, FIXTURE_MATCHES)
+    events = timeline.events.copy()
+    for name, value in fields.items():
+        events[name][row] = value
+    return replace(timeline, events=events)
+
+
+@pytest.mark.parametrize("row, fields", [
+    (-1, {"t_start": 95, "t_end": 105}),  # past the makespan on the last row, P3
+    (7, {"t_start": 95, "t_end": 105}),   # past the makespan on P1, which would spill into P2
+    (7, {"t_start": 25, "t_end": 35}),    # inside P1's window at t 30..40
+    (0, {"t_start": 40, "t_end": 30}),    # an event that ends before it starts
+], ids=["last_row_past_makespan", "inner_row_past_makespan", "overlap", "negative_length"])
+def test_text_gantt_rejects_events_it_cannot_paint(row, fields) -> None:
+    with pytest.raises(DomainError):
+        text_gantt(_edited(row, **fields))
 
 
 def test_svg_gantt_is_wellformed() -> None:
@@ -385,6 +417,22 @@ def test_schedule_artifacts_are_pinned(cfg, bits, digests) -> None:
     artifacts = (identity_report_to_json(verify_identities(timeline)), text_gantt(timeline),
                  events_to_csv(timeline), svg_gantt(timeline))
     assert tuple(hashlib.sha256(a.encode("utf-8")).hexdigest() for a in artifacts) == digests
+
+
+@pytest.mark.parametrize("render, bound", [(text_gantt, 8), (events_to_csv, 5),
+                                           (svg_gantt, 3)], ids=["text", "csv", "svg"])
+def test_renderer_peak_memory_is_a_few_outputs(render, bound) -> None:
+    # the benchmark's schedule size: ~41 k events, 1.45 MB of text Gantt
+    matches = sample_match_sequence(Stream.from_seed(5), 0.7, 4096)
+    timeline = build_schedule(DecodingConfig(48, 30, 8, 4096), matches)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = render(timeline)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * len(out)
 
 
 def test_benchmark_schedule_counter_reads_the_event_log() -> None:
