@@ -132,7 +132,8 @@ def verify_identities(timeline: ScheduleTimeline) -> IdentityReport:
     n = timeline.matches.n_runs
     latency, compute = closed_form_totals(cfg.d, cfg.d_bar, cfg.k, cfg.ell, n)
     events = timeline.events
-    occupied = int(np.sum(events.t_end - events.t_start))  # occupancy_profile's sum
+    units = events.t_end - events.t_start
+    occupied = int(units.sum())  # occupancy_profile's sum
 
     # per process in start order, an event that starts before its
     # predecessor ends overlaps it
@@ -140,7 +141,7 @@ def verify_identities(timeline: ScheduleTimeline) -> IdentityReport:
     pid, t_start, t_end = events.process_id[order], events.t_start[order], events.t_end[order]
     overlap = int(np.count_nonzero((pid[1:] == pid[:-1]) & (t_start[1:] < t_end[:-1])))
 
-    main_busy = int(np.sum(events.t_end - events.t_start, where=events.process_id == 0))
+    main_busy = int(np.sum(units, where=events.process_id == 0))
     return IdentityReport(
         makespan=timeline.makespan,
         occupancy_total=occupied,

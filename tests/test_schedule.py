@@ -221,7 +221,7 @@ def _edited(row: int, **fields) -> ScheduleTimeline:
 
 @pytest.mark.parametrize("row, fields", [
     (-1, {"t_start": 95, "t_end": 105}),  # past the makespan on the last row, P3
-    (7, {"t_start": 95, "t_end": 105}),   # past the makespan on P1, which would spill into P2
+    (12, {"t_end": 105}),                 # past the makespan on P1, into P2's idle first units
     (7, {"t_start": 25, "t_end": 35}),    # inside P1's window at t 30..40
     (0, {"t_start": 40, "t_end": 30}),    # an event that ends before it starts
 ], ids=["last_row_past_makespan", "inner_row_past_makespan", "overlap", "negative_length"])
